@@ -11,9 +11,11 @@
 // tables with shape notes; EXPERIMENTS.md records paper-vs-measured
 // values for a committed run.
 //
-// -bench FILE runs each selected experiment with a fresh runner,
-// timing it, and writes a JSON report of simulation throughput
-// (see EXPERIMENTS.md "Performance"). -telemetry attaches a sampler to
+// -bench FILE runs each selected experiment with a fresh runner on one
+// pool, timing it, and writes a JSON report of simulation throughput
+// (see EXPERIMENTS.md "Performance"); cells an earlier experiment
+// already simulated are served by the pool's memo and not counted
+// again. -telemetry attaches a sampler to
 // every run so the report also measures the instrumented path.
 //
 // Introspection: -progress prints a live status line (runs, Minstr/s,
@@ -43,6 +45,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/config"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -141,13 +144,10 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("total: %.1fs\n", time.Since(start).Seconds())
+		printCaches(pool)
 		return
 	}
 
-	// All experiments share one runner: the single-flight cache simulates
-	// each baseline exactly once even when figures race to it, and the
-	// launch/collect figure structure keeps tables deterministic.
-	runner := experiments.NewRunnerPool(p, pool)
 	var ck *experiments.Checkpoint
 	if *resume != "" {
 		// The checkpoint is stamped with the parameter fingerprint, so a
@@ -159,9 +159,15 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		runner.SetCheckpoint(ck)
 	}
 	fmt.Printf("running %d experiments on %d workers...\n", len(selected), pool.Workers())
+	// All experiments share one runner: the pool's single-flight memo
+	// simulates each cell exactly once even when figures race to it,
+	// and the launch/collect figure structure keeps tables
+	// deterministic. The runner hashes the Params for its memo
+	// namespace, so it is built after the start-up banner.
+	runner := experiments.NewRunnerPool(p, pool)
+	runner.SetCheckpoint(ck)
 	tables := experiments.RunAll(runner, selected)
 	for i, e := range selected {
 		tables[i].Fprint(os.Stdout)
@@ -187,15 +193,30 @@ func main() {
 			fmt.Fprintf(os.Stderr, "warning: checkpoint: %v\n", err)
 		}
 	}
+	printCaches(pool)
 	if experiments.AnyFailed(tables) {
 		fmt.Fprintln(os.Stderr, "one or more experiments failed (see error rows above)")
 		os.Exit(1)
 	}
 }
 
-// runBench times each experiment with a fresh runner (so cached work is
-// attributed to the experiment that caused it) and writes the versioned
-// JSON report (internal/benchfile). Experiments run one at a time;
+// printCaches reports the process's two simulation caches on stderr:
+// the pool memo, which serves duplicate figure cells whole, and the
+// warm-snapshot cache, which figure cells no longer fill.
+func printCaches(pool *experiments.Pool) {
+	hits, simulated := pool.MemoStats()
+	wc := sim.GlobalWarmCache()
+	restores, misses, stores := wc.Stats()
+	fmt.Fprintf(os.Stderr, "caches: memo %d hits, %d simulated; warm snapshots %d restored, %d missed, %d stored, %.1f MB held\n",
+		hits, simulated, restores, misses, stores, float64(wc.HeldBytes())/1e6)
+}
+
+// runBench times each experiment with a fresh runner on the shared
+// pool and writes the versioned JSON report (internal/benchfile). The
+// runners share the pool's cell memo, so a row counts only the cells
+// its experiment was first to need: an experiment whose cells earlier
+// rows already simulated reports fewer simulations and less time than
+// it would alone. Experiments run one at a time;
 // their internal simulations still fan out across the pool. An existing
 // report's microbenchmark rows (appended by cmd/benchmerge) survive the
 // rewrite; the experiment rows are replaced wholesale.

@@ -132,13 +132,11 @@ func main() {
 		}
 	}
 
-	run := func(llcMB int, pf prefetch.Prefetcher, cellKey string, hooks *telemetry.Hooks) sim.Result {
+	run := func(llcMB int, pf prefetch.Prefetcher, hooks *telemetry.Hooks) sim.Result {
 		m := config.Default(1)
 		m.LLCBytesPerCore = llcMB << 20
-		// Cell keys already encode bench/LLC/store/degree/replacement;
-		// adding the warmup window and seed pins the full warm prefix, so
-		// repeated cells (e.g. service jobs in one process) can reuse the
-		// post-warmup snapshot. -check disables reuse inside the simulator.
+		// No warm-snapshot key: every cell key is distinct within a
+		// sweep, so a stored snapshot would never be restored.
 		machine, err := sim.New(sim.Options{
 			Machine:             m,
 			Workloads:           []trace.Reader{spec.New(*seed, 0)},
@@ -147,7 +145,6 @@ func main() {
 			MeasureInstructions: *measure,
 			Telemetry:           hooks,
 			CheckEvery:          *check,
-			WarmKey:             fmt.Sprintf("sweep/%s/w%d/s%d", cellKey, *warmup, *seed),
 		})
 		if err != nil {
 			panic(err) // recovered by the pool into the cell's RunError
@@ -190,7 +187,7 @@ func main() {
 		llcMB := llcMB
 		baseKey := fmt.Sprintf("%s/llc%dMB/base", *bench, llcMB)
 		baseFs[li] = schedule(baseKey, func(hooks *telemetry.Hooks) sim.Result {
-			return run(llcMB, nil, baseKey, hooks)
+			return run(llcMB, nil, hooks)
 		})
 		for si, sizeKB := range sizeList {
 			for di, d := range degreeList {
@@ -211,7 +208,7 @@ func main() {
 							Replacement:     r,
 							LLCLatencyTicks: uint64(m.LLCLatency) * dram.TicksPerCycle,
 						})
-						return run(llcMB, tri, key, hooks)
+						return run(llcMB, tri, hooks)
 					})
 				}
 			}

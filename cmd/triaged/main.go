@@ -53,6 +53,12 @@ func run() error {
 	dbg := cliutil.AddDebugHTTP(flag.CommandLine)
 	flag.Parse()
 
+	// Install the drain handler before anything is published: a SIGTERM
+	// that arrives once the port file exists (or while the store is
+	// still opening) must drain, not kill the process.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
+
 	stopProf, err := prof.Start(os.Stderr)
 	if err != nil {
 		return err
@@ -137,8 +143,6 @@ func run() error {
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errc:
 		return err

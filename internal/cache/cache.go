@@ -75,14 +75,30 @@ type Stats struct {
 	Evictions      uint64
 }
 
-// Eviction describes a line displaced by a fill or invalidation.
+// Eviction describes a line displaced by a fill or invalidation. The
+// flags share one field so the struct stays within the compiler's
+// limits for values kept in registers (at most 4 fields, 4 words):
+// Fill, evict and Invalidate return it without a stack round trip.
 type Eviction struct {
-	Line     mem.Line
-	Dirty    bool
-	Valid    bool // false when no line was displaced
-	Prefetch bool // line was an unused prefetch
-	Core     int
+	Line  mem.Line
+	Core  int
+	flags uint8 // evValid | evDirty | evPrefetch
 }
+
+const (
+	evValid    = 1 << 0
+	evDirty    = 1 << 1
+	evPrefetch = 1 << 2
+)
+
+// Valid reports whether a line was displaced.
+func (e Eviction) Valid() bool { return e.flags&evValid != 0 }
+
+// Dirty reports whether the displaced line needs a writeback.
+func (e Eviction) Dirty() bool { return e.flags&evDirty != 0 }
+
+// Prefetch reports whether the displaced line was an unused prefetch.
+func (e Eviction) Prefetch() bool { return e.flags&evPrefetch != 0 }
 
 // Cache is one level of the hierarchy.
 type Cache struct {
@@ -228,20 +244,33 @@ func (c *Cache) Probe(l mem.Line) bool {
 }
 
 // LookupResult describes the outcome of a demand or prefetch lookup.
+// Like Eviction, its flags share one field so Access returns it in
+// registers.
 type LookupResult struct {
-	Hit bool
 	// ReadyTick is the fill-completion tick of the hit line (0 if the
 	// line has long been resident).
 	ReadyTick uint64
-	// WasPrefetch is true if this demand was the first use of a
-	// prefetched line.
-	WasPrefetch bool
 	// PrefetchPC is the trigger PC recorded at prefetch time, valid
 	// when WasPrefetch.
 	PrefetchPC uint64
-	// Late is true if the hit line's fill had not completed at `now`.
-	Late bool
+	flags      uint8 // lkHit | lkWasPrefetch | lkLate
 }
+
+const (
+	lkHit         = 1 << 0
+	lkWasPrefetch = 1 << 1
+	lkLate        = 1 << 2
+)
+
+// Hit reports whether the line was resident.
+func (r LookupResult) Hit() bool { return r.flags&lkHit != 0 }
+
+// WasPrefetch reports whether this demand was the first use of a
+// prefetched line.
+func (r LookupResult) WasPrefetch() bool { return r.flags&lkWasPrefetch != 0 }
+
+// Late reports whether the hit line's fill had not completed at `now`.
+func (r LookupResult) Late() bool { return r.flags&lkLate != 0 }
 
 // Access performs a demand access for line l at tick now. On a hit the
 // line is promoted (policy Hit) and prefetch provenance is consumed.
@@ -257,19 +286,19 @@ func (c *Cache) Access(l mem.Line, a replacement.Access, now uint64) LookupResul
 		}
 		st := &c.st[base+w]
 		c.stats.Hits++
-		res := LookupResult{Hit: true, ReadyTick: st.ready}
+		res := LookupResult{ReadyTick: st.ready, flags: lkHit}
 		if st.meta&flagPrefetched != 0 {
-			res.WasPrefetch = true
+			res.flags |= lkWasPrefetch
 			res.PrefetchPC = st.pfPC
 			st.meta &^= flagPrefetched
 			c.stats.PrefetchUsed++
 			if st.ready > now {
-				res.Late = true
+				res.flags |= lkLate
 				c.stats.LatePrefetches++
 			}
 		}
 		if a.Prefetch && st.ready > now {
-			res.Late = true
+			res.flags |= lkLate
 		}
 		c.policy.Hit(s, w, a)
 		return res
@@ -337,18 +366,18 @@ func (c *Cache) evict(s, w int) Eviction {
 	}
 	st := &c.st[i]
 	ev := Eviction{
-		Line:     mem.Line(c.tags[i]<<c.tagShift | uint64(s)),
-		Dirty:    st.meta&flagDirty != 0,
-		Valid:    true,
-		Prefetch: st.meta&flagPrefetched != 0,
-		Core:     int(st.core),
+		Line:  mem.Line(c.tags[i]<<c.tagShift | uint64(s)),
+		Core:  int(st.core),
+		flags: evValid,
 	}
 	c.stats.Evictions++
 	c.live[s]--
-	if ev.Dirty {
+	if st.meta&flagDirty != 0 {
+		ev.flags |= evDirty
 		c.stats.Writebacks++
 	}
-	if ev.Prefetch {
+	if st.meta&flagPrefetched != 0 {
+		ev.flags |= evPrefetch
 		c.stats.PrefetchUnused++
 	}
 	c.tags[i] = invalidTag
@@ -395,7 +424,7 @@ func (c *Cache) SetDataWays(n int) []Eviction {
 	if n < c.dataWays {
 		for s := 0; s < c.sets; s++ {
 			for w := n; w < c.dataWays; w++ {
-				if ev := c.evict(s, w); ev.Valid {
+				if ev := c.evict(s, w); ev.Valid() {
 					evs = append(evs, ev)
 				}
 			}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -12,16 +13,32 @@ func newTest(sets, ways int) *Cache {
 	return New("test", sets, ways, replacement.NewLRU(sets, ways))
 }
 
+// TestResultsFitInRegisters pins Eviction and LookupResult within the
+// compiler's limits for values it keeps in registers (at most 4 fields
+// and 4 words). One field or word more and every Access, Fill and evict
+// result goes through the stack on the simulator's hottest path.
+func TestResultsFitInRegisters(t *testing.T) {
+	for _, v := range []any{Eviction{}, LookupResult{}} {
+		typ := reflect.TypeOf(v)
+		if n := typ.NumField(); n > 4 {
+			t.Errorf("%s has %d fields, want at most 4", typ, n)
+		}
+		if sz := typ.Size(); sz > 32 {
+			t.Errorf("%s is %d bytes, want at most 32", typ, sz)
+		}
+	}
+}
+
 func TestMissThenHit(t *testing.T) {
 	c := newTest(16, 4)
 	l := mem.Line(0x1234)
 	a := replacement.Access{Line: l, PC: 1}
-	if r := c.Access(l, a, 0); r.Hit {
+	if r := c.Access(l, a, 0); r.Hit() {
 		t.Fatal("hit on empty cache")
 	}
 	c.Fill(l, a, false, 10)
 	r := c.Access(l, a, 20)
-	if !r.Hit {
+	if !r.Hit() {
 		t.Fatal("miss after fill")
 	}
 	st := c.Stats()
@@ -51,7 +68,7 @@ func TestEvictionReportsDirty(t *testing.T) {
 	l0, l1 := mem.Line(0), mem.Line(2)
 	c.Fill(l0, replacement.Access{Line: l0}, true, 0)
 	ev := c.Fill(l1, replacement.Access{Line: l1}, false, 0)
-	if !ev.Valid || !ev.Dirty || ev.Line != l0 {
+	if !ev.Valid() || !ev.Dirty() || ev.Line != l0 {
 		t.Errorf("eviction = %+v, want dirty l0", ev)
 	}
 	if c.Stats().Writebacks != 1 {
@@ -67,7 +84,7 @@ func TestEvictionReconstructsLineAddress(t *testing.T) {
 		// Force eviction by filling a conflicting line.
 		l2 := l + 64
 		ev := c.Fill(l2, replacement.Access{Line: l2}, false, 0)
-		return ev.Valid && ev.Line == l
+		return ev.Valid() && ev.Line == l
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -81,15 +98,15 @@ func TestPrefetchProvenance(t *testing.T) {
 	c.Fill(l, pf, false, 100)
 	// First demand use consumes provenance and reports the trigger PC.
 	r := c.Access(l, replacement.Access{Line: l, PC: 1}, 50)
-	if !r.Hit || !r.WasPrefetch || r.PrefetchPC != 0xCAFE {
+	if !r.Hit() || !r.WasPrefetch() || r.PrefetchPC != 0xCAFE {
 		t.Errorf("result = %+v, want prefetch hit with PC 0xCAFE", r)
 	}
-	if !r.Late {
+	if !r.Late() {
 		t.Error("demand at tick 50 against fill ready at 100 should be late")
 	}
 	// Second use is an ordinary hit.
 	r = c.Access(l, replacement.Access{Line: l, PC: 1}, 200)
-	if r.WasPrefetch {
+	if r.WasPrefetch() {
 		t.Error("prefetch provenance should be consumed by first use")
 	}
 	st := c.Stats()
@@ -103,7 +120,7 @@ func TestUnusedPrefetchCountedOnEviction(t *testing.T) {
 	l0, l1 := mem.Line(0), mem.Line(2)
 	c.Fill(l0, replacement.Access{Line: l0, Prefetch: true}, false, 0)
 	ev := c.Fill(l1, replacement.Access{Line: l1}, false, 0)
-	if !ev.Prefetch {
+	if !ev.Prefetch() {
 		t.Error("eviction should be flagged as unused prefetch")
 	}
 	if c.Stats().PrefetchUnused != 1 {
@@ -116,7 +133,7 @@ func TestRefillDoesNotDuplicate(t *testing.T) {
 	l := mem.Line(7)
 	c.Fill(l, replacement.Access{Line: l}, false, 100)
 	ev := c.Fill(l, replacement.Access{Line: l}, true, 50)
-	if ev.Valid {
+	if ev.Valid() {
 		t.Error("refill of resident line reported an eviction")
 	}
 	if c.Occupancy() != 1 {
@@ -135,7 +152,7 @@ func TestMarkDirtyCausesWriteback(t *testing.T) {
 	c.Fill(l, replacement.Access{Line: l}, false, 0)
 	c.MarkDirty(l)
 	ev := c.Fill(mem.Line(2), replacement.Access{Line: 2}, false, 0)
-	if !ev.Dirty {
+	if !ev.Dirty() {
 		t.Error("store-dirtied line evicted clean")
 	}
 }
@@ -145,13 +162,13 @@ func TestInvalidate(t *testing.T) {
 	l := mem.Line(5)
 	c.Fill(l, replacement.Access{Line: l}, true, 0)
 	ev := c.Invalidate(l)
-	if !ev.Valid || !ev.Dirty || ev.Line != l {
+	if !ev.Valid() || !ev.Dirty() || ev.Line != l {
 		t.Errorf("Invalidate = %+v", ev)
 	}
 	if c.Probe(l) {
 		t.Error("line still resident after Invalidate")
 	}
-	if ev := c.Invalidate(l); ev.Valid {
+	if ev := c.Invalidate(l); ev.Valid() {
 		t.Error("second Invalidate found a line")
 	}
 }
@@ -173,7 +190,7 @@ func TestSetDataWaysShrinkFlushes(t *testing.T) {
 	}
 	dirty := 0
 	for _, ev := range evs {
-		if ev.Dirty {
+		if ev.Dirty() {
 			dirty++
 		}
 	}
@@ -242,13 +259,13 @@ func TestCacheCoherenceProperty(t *testing.T) {
 			l := mem.Line(op % 64)
 			a := replacement.Access{Line: l, PC: uint64(op % 7)}
 			r := c.Access(l, a, 0)
-			if r.Hit != resident[l] {
+			if r.Hit() != resident[l] {
 				return false
 			}
-			if !r.Hit {
+			if !r.Hit() {
 				ev := c.Fill(l, a, false, 0)
 				resident[l] = true
-				if ev.Valid {
+				if ev.Valid() {
 					delete(resident, ev.Line)
 				}
 			}

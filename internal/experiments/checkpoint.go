@@ -187,7 +187,7 @@ func parseStore(data []byte, fingerprint string) (parsedStore, error) {
 }
 
 // Checkpoint is a versioned, fingerprinted, checksummed on-disk store
-// of completed runs, keyed like the single-flight cache
+// of completed runs, keyed like the pool memo's single-core cells
 // ("bench/config"). Records are appended as CRC32-framed JSONL lines
 // after a header naming the configuration fingerprint, and every
 // append is fsynced before it is acknowledged. On open, a torn tail

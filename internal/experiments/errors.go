@@ -14,8 +14,8 @@ import (
 // RunError instead of hanging, so a crashing cell degrades into an
 // annotated error row while sibling runs complete.
 type RunError struct {
-	// Key is the single-flight cache key ("bench/config"); "run" for
-	// jobs scheduled outside the cache.
+	// Key is the run's cell key ("bench/config" for single-core
+	// cells); "run" for jobs scheduled outside a Runner.
 	Key string
 	// Reason classifies the failure: "panic", "aborted" (watchdog
 	// deadline/stall), or "fault" (injected by Params.FaultHook).

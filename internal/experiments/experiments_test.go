@@ -186,10 +186,13 @@ func TestRunnerCaching(t *testing.T) {
 	r := NewRunner(tinyParams())
 	spec := irregularSpec(t)
 	a := r.single(spec, cfgNone)
-	before := len(r.cache)
+	before := r.pool.memo.len()
 	b := r.single(spec, cfgNone)
-	if len(r.cache) != before {
-		t.Error("second single() call grew the cache")
+	if r.pool.memo.len() != before {
+		t.Error("second single() call grew the memo")
+	}
+	if r.Runs() != 1 {
+		t.Errorf("Runs() = %d, want 1", r.Runs())
 	}
 	if a.IPC() != b.IPC() {
 		t.Error("cached result differs")

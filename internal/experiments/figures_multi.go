@@ -15,10 +15,10 @@ func (r *Runner) launchMixGrid(mixes []workload.MixSpec, configs []namedPF) (bas
 	bases = make([]*Future[sim.Result], len(mixes))
 	cells = make([][]*Future[sim.Result], len(mixes))
 	for mi, mix := range mixes {
-		bases[mi] = r.runMixF(mix, cfgNone.name, pfNone)
+		bases[mi] = r.runMixF(mix, cfgNone)
 		cells[mi] = make([]*Future[sim.Result], len(configs))
 		for ci, cfg := range configs {
-			cells[mi][ci] = r.runMixF(mix, cfg.name, cfg.f)
+			cells[mi][ci] = r.runMixF(mix, cfg)
 		}
 	}
 	return bases, cells
@@ -36,10 +36,10 @@ func (r *Runner) Fig14() *Table {
 	baseFs := make([]*Future[sim.Result], len(suite))
 	cellFs := make([][]*Future[sim.Result], len(suite))
 	for si, spec := range suite {
-		baseFs[si] = r.runRateF(spec, 4, cfgNone.name, pfNone)
+		baseFs[si] = r.runRateF(spec, 4, cfgNone)
 		cellFs[si] = make([]*Future[sim.Result], len(configs))
 		for ci, cfg := range configs {
-			cellFs[si][ci] = r.runRateF(spec, 4, cfg.name, cfg.f)
+			cellFs[si][ci] = r.runRateF(spec, 4, cfg)
 		}
 	}
 	sums := make([][]float64, len(configs))
@@ -191,7 +191,7 @@ func (r *Runner) Fig19() *Table {
 	t.Header = []string{"mix", "core0", "core1", "core2", "core3", "benchmarks"}
 	resFs := make([]*Future[sim.Result], len(mixes))
 	for mi, mix := range mixes {
-		resFs[mi] = r.runMixF(mix, cfgTDyn.name, pfTriageDyn)
+		resFs[mi] = r.runMixF(mix, cfgTDyn)
 	}
 	for mi, mix := range mixes {
 		res := resFs[mi].Wait()

@@ -13,23 +13,27 @@ import (
 	"repro/internal/workload"
 )
 
-// Runner executes figures over a worker pool, caching single-core runs
-// so that baselines shared between figures (e.g. the no-prefetch runs
-// used by Figs. 5, 6, 7, 10, 11, 12) are simulated once. The cache is
-// single-flight: each key maps to the Future of its one simulation, so
-// figures running concurrently (RunAll) share in-flight baselines
+// Runner executes figures over a worker pool. Cells go through the
+// pool's memo (Pool), so baselines shared between figures (e.g. the
+// no-prefetch runs used by Figs. 5, 6, 7, 10, 11, 12) and mix cells
+// that two figures run identically (Figs. 15/16, 18/19) are simulated
+// once per pool, whichever Runner asks first. The memo is single-
+// flight: figures running concurrently (RunAll) share in-flight cells
 // instead of duplicating them.
 type Runner struct {
 	P    Params
 	pool *Pool
+	// memoNS scopes this runner's cells in the pool memo: the Params
+	// fingerprint, plus the invariant-check interval, so a debug run
+	// never takes a cell that was simulated without its checks.
+	memoNS string
 
 	mu         sync.Mutex
-	cache      map[string]*Future[sim.Result]
-	samples    map[string][]byte // JSONL series per cached run (SampleEvery)
-	sampleErrs map[string]error  // series lost to encoding failures
+	used       map[string]*memoCell // cells this runner asked for, by key
+	sampleErrs map[string]error     // series lost to encoding failures
 
-	// ckpt, when set, persists every completed cached run and satisfies
-	// repeat keys from disk (resume of an interrupted sweep).
+	// ckpt, when set, persists every completed single-core cell and
+	// satisfies repeat keys from disk (resume of an interrupted sweep).
 	ckpt *Checkpoint
 
 	runs     atomic.Uint64
@@ -38,8 +42,10 @@ type Runner struct {
 }
 
 // SetCheckpoint attaches an on-disk store of completed runs. Call
-// before scheduling work: cached keys already in the store resolve
-// from disk, and newly simulated keys are appended as they finish.
+// before scheduling work: single-core cells already in the store
+// resolve from disk, and newly simulated ones are appended as they
+// finish. A cell another Runner on the pool already holds in the memo
+// is served from there and not appended.
 func (r *Runner) SetCheckpoint(c *Checkpoint) { r.ckpt = c }
 
 // NewRunner returns a Runner with the given parameters and a pool
@@ -49,20 +55,24 @@ func NewRunner(p Params) *Runner { return NewRunnerPool(p, DefaultPool()) }
 
 // NewRunnerPool returns a Runner executing on an explicit pool
 // (cmd/experiments -j, and the determinism tests that compare -j 1
-// against -j 8 output).
+// against -j 8 output). Runners on one pool share its cell memo.
 func NewRunnerPool(p Params, pool *Pool) *Runner {
-	return &Runner{P: p, pool: pool, cache: make(map[string]*Future[sim.Result])}
+	ns := p.Fingerprint(config.Default(1)) + "/"
+	if p.CheckEvery > 0 {
+		ns += fmt.Sprintf("check%d/", p.CheckEvery)
+	}
+	return &Runner{P: p, pool: pool, memoNS: ns, used: make(map[string]*memoCell)}
 }
 
 // namedPF pairs a display name with a prefetcher factory.
 //
 // Naming contract: the name must identify the prefetcher configuration
 // uniquely within the process — two namedPF values with the same name
-// must build behaviorally identical prefetchers. The single-flight
-// cache key and the warm-snapshot key (warmKey) both embed the name,
-// so a name reused for a different configuration would silently alias
-// cells. Inline namedPF literals in figures (degree sweeps, epoch
-// sweeps) must encode every varied parameter in the name.
+// must build behaviorally identical prefetchers. Cell keys in the
+// pool memo embed the name, so a name reused for a different
+// configuration would silently alias cells. Inline namedPF literals in
+// figures (degree sweeps, epoch sweeps) must encode every varied
+// parameter in the name.
 type namedPF struct {
 	name string
 	f    pfFactory

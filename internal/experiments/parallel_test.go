@@ -11,9 +11,9 @@ import (
 // TestSingleFlightSharedBaselines runs two figures that share every
 // cached simulation (Fig05 and Fig06 use the same suite x config grid
 // plus the no-prefetch baselines) concurrently on a wide pool. The
-// single-flight cache must simulate each distinct configuration exactly
-// once, and under -race this doubles as the regression test for the
-// Runner cache data race.
+// pool's single-flight memo must simulate each distinct configuration
+// exactly once, and under -race this doubles as the regression test for
+// the memo's data races.
 func TestSingleFlightSharedBaselines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
@@ -29,8 +29,8 @@ func TestSingleFlightSharedBaselines(t *testing.T) {
 	if got := r.Runs(); got != want {
 		t.Errorf("executed %d simulations, want %d (baselines shared via single-flight)", got, want)
 	}
-	if got := uint64(len(r.cache)); got != want {
-		t.Errorf("cache holds %d entries, want %d", got, want)
+	if got := uint64(r.pool.memo.len()); got != want {
+		t.Errorf("memo holds %d cells, want %d", got, want)
 	}
 	if r.SimulatedInstructions() == 0 {
 		t.Error("no simulated instructions recorded")

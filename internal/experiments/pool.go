@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"container/list"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,9 +19,15 @@ import (
 // coordinators run on plain goroutines and never hold a worker slot
 // while waiting on a Future, so the pool cannot deadlock: every job it
 // admits is an independent leaf simulation.
+//
+// The pool also owns the cell memo that every Runner on it shares: a
+// figure cell finished (or in flight) for one Runner serves any other
+// Runner with the same Params, so the service's and workers' one-
+// Runner-per-figure jobs simulate a shared baseline once per process.
 type Pool struct {
 	sem  chan struct{}
 	prog atomic.Pointer[telemetry.PoolProgress]
+	memo cellMemo
 }
 
 // SetProgress attaches a live progress tracker; workers report busy/
@@ -45,6 +53,98 @@ func DefaultPool() *Pool { return NewPool(runtime.GOMAXPROCS(0)) }
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return cap(p.sem) }
+
+// MemoStats reports the cell memo's activity: requests served by a
+// cell that an earlier request had already finished or started, and
+// cells simulated to fill it (checkpoint restores count as neither).
+func (p *Pool) MemoStats() (hits, simulated uint64) {
+	return p.memo.hits.Load(), p.memo.simulated.Load()
+}
+
+// memoCap bounds the cell memo. A cell is one sim.Result — a few
+// hundred bytes, under 2 KB at 16 cores — and the whole 24-figure
+// suite has about 600 distinct cells, so the bound only bites in a
+// long-lived service running many scales.
+const memoCap = 4096
+
+// memoCell is one memoized figure cell.
+type memoCell struct {
+	key     string
+	f       *Future[sim.Result]
+	samples []byte // the run's JSONL series (SampleEvery); written before f resolves
+	elem    *list.Element
+}
+
+// finished reports whether the cell's run has resolved.
+func (c *memoCell) finished() bool {
+	select {
+	case <-c.f.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// cellMemo is a single-flight, LRU-bounded map from cell key to cell.
+// A failed run is dropped before its Future resolves, so the next
+// request simulates the cell afresh instead of inheriting the failure.
+type cellMemo struct {
+	mu    sync.Mutex
+	cells map[string]*memoCell
+	lru   list.List // of *memoCell, most recently used at the front
+
+	hits      atomic.Uint64
+	simulated atomic.Uint64
+}
+
+// get returns key's cell, creating it with start when absent. start
+// runs under the memo lock and must not block: it resolves the cell
+// from a checkpoint or schedules its run on the pool.
+func (m *cellMemo) get(key string, start func(*memoCell) *Future[sim.Result]) *memoCell {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if c := m.cells[key]; c != nil {
+		m.hits.Add(1)
+		m.lru.MoveToFront(c.elem)
+		return c
+	}
+	if m.cells == nil {
+		m.cells = make(map[string]*memoCell)
+	}
+	c := &memoCell{key: key}
+	c.elem = m.lru.PushFront(c)
+	m.cells[key] = c
+	c.f = start(c)
+	// Evict the least recently used finished cells beyond the bound.
+	// Cells still in flight stay: dropping one would let a second
+	// request simulate it again while the first is still running.
+	for e := m.lru.Back(); e != nil && len(m.cells) > memoCap; {
+		prev := e.Prev()
+		if old := e.Value.(*memoCell); old.finished() {
+			delete(m.cells, old.key)
+			m.lru.Remove(e)
+		}
+		e = prev
+	}
+	return c
+}
+
+// drop forgets c if it is still its key's cell.
+func (m *cellMemo) drop(c *memoCell) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.cells[c.key] == c {
+		delete(m.cells, c.key)
+		m.lru.Remove(c.elem)
+	}
+}
+
+// len returns the number of memoized cells.
+func (m *cellMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.cells)
+}
 
 // Future is the eventual result of a pooled computation. A panic
 // inside the computation resolves the Future with a *RunError instead
@@ -207,13 +307,13 @@ func (r *Runner) newHooks() *telemetry.Hooks {
 	return &h
 }
 
-// storeSamples persists one cached run's sampled series as JSONL,
-// keyed like the single-flight cache ("bench/config"). An encoding
-// failure does not fail the run (the result is still good); it is
-// recorded and surfaced through SampleErrors instead of vanishing.
-func (r *Runner) storeSamples(key string, hooks *telemetry.Hooks) {
+// encodeSamples renders one run's sampled series as JSONL (nil when
+// the run was not sampled). An encoding failure does not fail the run
+// (the result is still good); it is recorded and surfaced through
+// SampleErrors instead of vanishing.
+func (r *Runner) encodeSamples(key string, hooks *telemetry.Hooks) []byte {
 	if hooks == nil || hooks.Sampler == nil {
-		return
+		return nil
 	}
 	var buf bytes.Buffer
 	if err := hooks.Sampler.WriteJSONL(&buf); err != nil {
@@ -223,25 +323,22 @@ func (r *Runner) storeSamples(key string, hooks *telemetry.Hooks) {
 		}
 		r.sampleErrs[key] = fmt.Errorf("sample series for %s dropped: %w", key, err)
 		r.mu.Unlock()
-		return
+		return nil
 	}
-	r.mu.Lock()
-	if r.samples == nil {
-		r.samples = make(map[string][]byte)
-	}
-	r.samples[key] = buf.Bytes()
-	r.mu.Unlock()
+	return buf.Bytes()
 }
 
-// SampleSeries returns the JSONL time series of every cached
-// single-core run, keyed "bench/config". Empty unless Params.
-// SampleEvery was set.
+// SampleSeries returns the JSONL time series of every finished
+// memoized cell this runner used, keyed by cell ("bench/config" for
+// single-core cells). Empty unless Params.SampleEvery was set.
 func (r *Runner) SampleSeries() map[string][]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string][]byte, len(r.samples))
-	for k, v := range r.samples {
-		out[k] = v
+	out := make(map[string][]byte, len(r.used))
+	for k, c := range r.used {
+		if c.finished() && len(c.samples) > 0 {
+			out[k] = c.samples
+		}
 	}
 	return out
 }
@@ -260,9 +357,9 @@ func (r *Runner) SampleErrors() map[string]error {
 }
 
 // Runs returns how many simulations this runner actually executed
-// (cache hits and checkpoint-restored cells do not count — the
-// single-flight cache guarantees each distinct configuration is
-// simulated exactly once).
+// (cells served by the pool memo or restored from the checkpoint do
+// not count — the memo guarantees each distinct cell is simulated
+// once per pool).
 func (r *Runner) Runs() uint64 { return r.runs.Load() }
 
 // Restored returns how many cells were satisfied from the checkpoint
@@ -273,101 +370,100 @@ func (r *Runner) Restored() uint64 { return r.restored.Load() }
 // runner's simulations, including warmup and contention-sustain work.
 func (r *Runner) SimulatedInstructions() uint64 { return r.simInstr.Load() }
 
-// singleF returns the Future of one cached benchmark x prefetcher run,
-// starting it if this is the first request. The per-key Future doubles
-// as single-flight dedup: concurrent figures that share a baseline wait
-// on the same Future instead of re-simulating it. With a checkpoint
-// attached, a key already in the store resolves instantly from disk.
-func (r *Runner) singleF(spec workload.Spec, cfg namedPF) *Future[sim.Result] {
-	key := spec.Name + "/" + cfg.name
-	r.mu.Lock()
-	f, ok := r.cache[key]
-	if !ok {
-		if res, samples, hit := r.checkpointGet(key); hit {
-			f = Resolved(res)
-			if len(samples) > 0 {
-				if r.samples == nil {
-					r.samples = make(map[string][]byte)
-				}
-				r.samples[key] = samples
+// cell returns the Future of one memoized figure cell, starting run on
+// the pool unless a Runner sharing the pool and these Params already
+// finished or started it. key names the cell within the Params; it
+// must determine the simulation completely (see namedPF). With a
+// checkpoint attached, durable cells already in the store resolve from
+// disk and newly simulated ones are appended to it.
+func (r *Runner) cell(key string, durable bool, run func(*telemetry.Hooks) sim.Result) *Future[sim.Result] {
+	ckpt := r.ckpt
+	if !durable {
+		ckpt = nil
+	}
+	c := r.pool.memo.get(r.memoNS+key, func(c *memoCell) *Future[sim.Result] {
+		if ckpt != nil {
+			if res, samples, hit := ckpt.Get(key); hit {
+				c.samples = samples
+				r.restored.Add(1)
+				return Resolved(res)
 			}
-			r.restored.Add(1)
-		} else {
-			f = Go(r.pool, func() sim.Result {
-				res := r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-					rr := r.record(runSingle(r.P, spec, cfg.name, cfg.f, nil, hooks))
-					r.storeSamples(key, hooks)
-					return rr
-				})
-				r.checkpointPut(key, res)
+		}
+		return Go(r.pool, func() sim.Result {
+			ok := false
+			defer func() {
+				if !ok {
+					r.pool.memo.drop(c)
+				}
+			}()
+			res := r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
+				res := r.record(run(hooks))
+				c.samples = r.encodeSamples(key, hooks)
 				return res
 			})
-		}
-		r.cache[key] = f
-	}
-	r.mu.Unlock()
-	return f
-}
-
-// checkpointGet probes the attached checkpoint (nil-safe). Called with
-// r.mu held; the Checkpoint has its own lock and never calls back.
-func (r *Runner) checkpointGet(key string) (sim.Result, []byte, bool) {
-	if r.ckpt == nil {
-		return sim.Result{}, nil, false
-	}
-	return r.ckpt.Get(key)
-}
-
-// checkpointPut persists one completed run plus its sampled series.
-func (r *Runner) checkpointPut(key string, res sim.Result) {
-	if r.ckpt == nil {
-		return
-	}
+			r.pool.memo.simulated.Add(1)
+			if ckpt != nil {
+				ckpt.Put(key, res, c.samples)
+			}
+			ok = true
+			return res
+		})
+	})
 	r.mu.Lock()
-	samples := r.samples[key]
+	r.used[key] = c
 	r.mu.Unlock()
-	r.ckpt.Put(key, res, samples)
+	return c.f
 }
 
-// runSingleF schedules an uncached single-core run (mutated machines,
-// one-off configurations) on the pool. No warm-snapshot key: a mutated
-// machine's warm prefix has no stable process-wide name.
+// singleF returns the Future of one benchmark x prefetcher run on the
+// single-core machine, keyed "bench/config". It is the only durable
+// cell kind: the resume checkpoint holds single-core cells.
+func (r *Runner) singleF(spec workload.Spec, cfg namedPF) *Future[sim.Result] {
+	return r.cell(spec.Name+"/"+cfg.name, true, func(hooks *telemetry.Hooks) sim.Result {
+		return runSingle(r.P, spec, cfg.f, nil, hooks)
+	})
+}
+
+// runSingleF schedules an unmemoized single-core run on the pool: a
+// mutated machine, or a factory whose instance the figure inspects
+// afterwards (Fig01), has no stable cell name.
 func (r *Runner) runSingleF(spec workload.Spec, factory pfFactory, mutate func(*sim.Options)) *Future[sim.Result] {
 	key := spec.Name + "/adhoc"
 	return Go(r.pool, func() sim.Result {
 		return r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runSingle(r.P, spec, "", factory, mutate, hooks))
+			return r.record(runSingle(r.P, spec, factory, mutate, hooks))
 		})
 	})
 }
 
-// runMixF schedules one multi-programmed mix on the pool. pfName names
-// the prefetcher configuration for warm-snapshot reuse ("" disables).
-func (r *Runner) runMixF(mix workload.MixSpec, pfName string, factory pfFactory) *Future[sim.Result] {
-	return Go(r.pool, func() sim.Result {
-		return r.execute(mix.Name, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runMix(r.P, mix, pfName, factory, hooks))
-		})
+// runMixF returns the Future of one multi-programmed mix cell. Mix
+// display names are not unique across figures (every mix figure
+// numbers its mixes "mix1"..), so the key spells out the benchmark
+// composition: two cells share it only when they run the same programs
+// on the same cores.
+func (r *Runner) runMixF(mix workload.MixSpec, cfg namedPF) *Future[sim.Result] {
+	comp := make([]string, len(mix.Specs))
+	for c, spec := range mix.Specs {
+		comp[c] = spec.Name
+	}
+	return r.cell(strings.Join(comp, "+")+"/"+cfg.name, false, func(hooks *telemetry.Hooks) sim.Result {
+		return runMix(r.P, mix, cfg.f, hooks)
 	})
 }
 
-// runRateF schedules one N-copy server run on the pool. pfName names
-// the prefetcher configuration for warm-snapshot reuse ("" disables).
-func (r *Runner) runRateF(spec workload.Spec, cores int, pfName string, factory pfFactory) *Future[sim.Result] {
-	key := fmt.Sprintf("%s/x%d", spec.Name, cores)
-	return Go(r.pool, func() sim.Result {
-		return r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runRate(r.P, spec, cores, pfName, factory, hooks))
-		})
+// runRateF returns the Future of one N-copy server cell.
+func (r *Runner) runRateF(spec workload.Spec, cores int, cfg namedPF) *Future[sim.Result] {
+	return r.cell(fmt.Sprintf("%s/x%d/%s", spec.Name, cores, cfg.name), false, func(hooks *telemetry.Hooks) sim.Result {
+		return runRate(r.P, spec, cores, cfg.f, hooks)
 	})
 }
 
 // RunAll executes the given experiments, each on its own coordinator
 // goroutine so their simulations interleave on the pool, and returns
-// the tables in input order. The single-flight cache keeps shared
-// baselines simulated exactly once even when figures race to them, so
-// the output is byte-identical to a sequential run. A failing
-// experiment yields an error table (RunOne); its siblings complete.
+// the tables in input order. The pool's single-flight memo keeps shared
+// cells simulated exactly once even when figures race to them, so the
+// output is byte-identical to a sequential run. A failing experiment
+// yields an error table (RunOne); its siblings complete.
 func RunAll(r *Runner, es []Experiment) []*Table {
 	tables := make([]*Table, len(es))
 	var wg sync.WaitGroup

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -134,23 +133,10 @@ func pfHybrid(a, b pfFactory) pfFactory {
 	}
 }
 
-// warmKey names a run's complete warm prefix for the simulator's
-// process-wide snapshot cache: workload construction (benchmark name +
-// seed), prefetcher configuration name, core count, and warmup window.
-// pfName must uniquely identify the prefetcher configuration within
-// the process (namedPF names satisfy this — see namedPF); the
-// simulator independently re-checks the machine-shape half of the key
-// (sim.Options.WarmKey), so a collision degrades to a cold warmup
-// only when it is safe to reuse and to a refused restore otherwise.
-func warmKey(kind, bench, pfName string, cores int, warm, seed uint64) string {
-	return fmt.Sprintf("%s/%s/%s/x%d/w%d/s%d", kind, bench, pfName, cores, warm, seed)
-}
-
-// runSingle simulates one benchmark on a single-core Table 1 machine.
-// pfName, when non-empty, enables warm-state snapshot reuse for this
-// cell (mutated machines pass "" — their warm prefix has no stable
-// name).
-func runSingle(p Params, spec workload.Spec, pfName string, factory pfFactory, mutate func(*sim.Options), tel *telemetry.Hooks) sim.Result {
+// runSingle simulates one benchmark on a single-core Table 1 machine,
+// optionally mutated (ad hoc cells: capacity-loss-free stores, LLC
+// policy and latency variants).
+func runSingle(p Params, spec workload.Spec, factory pfFactory, mutate func(*sim.Options), tel *telemetry.Hooks) sim.Result {
 	m := config.Default(1)
 	opts := sim.Options{
 		Machine:             m,
@@ -161,12 +147,8 @@ func runSingle(p Params, spec workload.Spec, pfName string, factory pfFactory, m
 		Telemetry:           tel,
 		CheckEvery:          p.CheckEvery,
 	}
-	if pfName != "" {
-		opts.WarmKey = warmKey("fig", spec.Name, pfName, 1, p.Warmup, p.Seed)
-	}
 	if mutate != nil {
 		mutate(&opts)
-		opts.WarmKey = ""
 		opts.Workloads = []trace.Reader{spec.New(p.Seed, 0)}
 		opts.Prefetchers = []prefetch.Prefetcher{factory(opts.Machine)}
 	}
@@ -178,12 +160,8 @@ func runSingle(p Params, spec workload.Spec, pfName string, factory pfFactory, m
 }
 
 // runMix simulates a multi-programmed mix on an N-core machine, one
-// benchmark and one prefetcher instance per core. pfName enables
-// warm-state reuse as in runSingle. Mix display names are NOT unique
-// across figures (every mix figure numbers its mixes "mix1"..), so
-// the warm key spells out the benchmark composition: two cells share
-// a key only when they run the same programs on the same cores.
-func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, tel *telemetry.Hooks) sim.Result {
+// benchmark and one prefetcher instance per core.
+func runMix(p Params, mix workload.MixSpec, factory pfFactory, tel *telemetry.Hooks) sim.Result {
 	cores := len(mix.Specs)
 	m := config.Default(cores)
 	ws := make([]trace.Reader, cores)
@@ -192,7 +170,7 @@ func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, te
 		ws[c] = spec.New(p.Seed+uint64(c)*7919, mem.Addr(c+1)<<40)
 		pfs[c] = factory(m)
 	}
-	opts := sim.Options{
+	machine, err := sim.New(sim.Options{
 		Machine:             m,
 		Workloads:           ws,
 		Prefetchers:         pfs,
@@ -200,15 +178,7 @@ func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, te
 		MeasureInstructions: p.MultiMeasure,
 		Telemetry:           tel,
 		CheckEvery:          p.CheckEvery,
-	}
-	if pfName != "" {
-		comp := make([]string, cores)
-		for c, spec := range mix.Specs {
-			comp[c] = spec.Name
-		}
-		opts.WarmKey = warmKey("mix", strings.Join(comp, "+"), pfName, cores, p.MultiWarmup, p.Seed)
-	}
-	machine, err := sim.New(opts)
+	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", mix.Name, err))
 	}
@@ -216,8 +186,8 @@ func runMix(p Params, mix workload.MixSpec, pfName string, factory pfFactory, te
 }
 
 // runRate simulates N copies of one benchmark on an N-core machine
-// (the CloudSuite server setup). pfName enables warm-state reuse.
-func runRate(p Params, spec workload.Spec, cores int, pfName string, factory pfFactory, tel *telemetry.Hooks) sim.Result {
+// (the CloudSuite server setup).
+func runRate(p Params, spec workload.Spec, cores int, factory pfFactory, tel *telemetry.Hooks) sim.Result {
 	m := config.Default(cores)
 	ws := make([]trace.Reader, cores)
 	pfs := make([]prefetch.Prefetcher, cores)
@@ -225,7 +195,7 @@ func runRate(p Params, spec workload.Spec, cores int, pfName string, factory pfF
 		ws[c] = spec.New(p.Seed+uint64(c)*104729, mem.Addr(c+1)<<40)
 		pfs[c] = factory(m)
 	}
-	opts := sim.Options{
+	machine, err := sim.New(sim.Options{
 		Machine:             m,
 		Workloads:           ws,
 		Prefetchers:         pfs,
@@ -233,11 +203,7 @@ func runRate(p Params, spec workload.Spec, cores int, pfName string, factory pfF
 		MeasureInstructions: p.MultiMeasure,
 		Telemetry:           tel,
 		CheckEvery:          p.CheckEvery,
-	}
-	if pfName != "" {
-		opts.WarmKey = warmKey("rate", spec.Name, pfName, cores, p.MultiWarmup, p.Seed)
-	}
-	machine, err := sim.New(opts)
+	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s x%d: %v", spec.Name, cores, err))
 	}

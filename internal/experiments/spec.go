@@ -259,7 +259,10 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 	// BuildPrefetcher resolves PF names canonically process-wide, and
 	// Degree parameterizes the build, so bench+pf+degree+cores+warmup+
 	// seed pins the complete warm prefix for snapshot reuse (the trace
-	// content hash stands in for bench on replays).
+	// content hash stands in for bench on replays). The simulator
+	// independently re-checks the machine-shape half of the key
+	// (sim.Options.WarmKey), so a collision degrades to a cold warmup
+	// instead of a wrong restore.
 	machine, err := sim.New(sim.Options{
 		Machine:             m,
 		Workloads:           ws,
@@ -268,8 +271,8 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 		MeasureInstructions: s.Measure,
 		Telemetry:           hooks,
 		CheckEvery:          s.CheckEvery,
-		WarmKey: warmKey("spec", warmBench, fmt.Sprintf("%s/d%d", s.PF, s.Degree),
-			s.Cores, s.Warmup, s.Seed),
+		WarmKey: fmt.Sprintf("spec/%s/%s/d%d/x%d/w%d/s%d",
+			warmBench, s.PF, s.Degree, s.Cores, s.Warmup, s.Seed),
 	})
 	if err != nil {
 		return sim.Result{}, err

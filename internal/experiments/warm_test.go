@@ -5,74 +5,82 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestWarmReuseByteIdentical checks the warm-snapshot acceptance
-// criterion: a run that restores post-warmup machine state from the
-// process snapshot cache must produce byte-identical CSVs and
-// byte-identical sampled telemetry series compared to a run that
-// simulated its warmup cold, on both a single-core figure and a
-// multi-core mix figure.
+// criterion where snapshots are still taken, on RunSpec jobs: a spec
+// sharing an earlier spec's warm prefix (same bench, prefetcher, seed
+// and warmup; a longer measurement window) must restore the earlier
+// spec's post-warmup state, and its encoded result and sampled series
+// must be byte-identical to a run that simulated the warmup cold — on
+// a single-core and a 4-core machine.
 func TestWarmReuseByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
 	}
-	sim.GlobalWarmCache().Reset()
-	t.Cleanup(sim.GlobalWarmCache().Reset)
-
-	ids := []string{"fig05", "fig16"}
-	cold, coldSamples := csvFor(t, tinyParams(), 4, ids)
-	hits, _, stores := sim.GlobalWarmCache().Stats()
-	if hits != 0 {
-		t.Fatalf("cold run restored %d snapshots from an empty cache", hits)
-	}
-	if stores == 0 {
-		t.Fatal("cold run stored no warm snapshots")
-	}
-
-	warm, warmSamples := csvFor(t, tinyParams(), 4, ids)
-	hits, _, _ = sim.GlobalWarmCache().Stats()
-	if hits == 0 {
-		t.Fatal("second run restored no warm snapshots")
-	}
-
-	if !bytes.Equal(cold, warm) {
-		t.Errorf("warm-restored output differs from cold warmup:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
-	}
-	if len(warmSamples) != len(coldSamples) {
-		t.Fatalf("sample series count differs: cold=%d warm=%d", len(coldSamples), len(warmSamples))
-	}
-	for key, want := range coldSamples {
-		got, ok := warmSamples[key]
-		if !ok {
-			t.Errorf("series %q missing on the warm-restored run", key)
-			continue
+	wc := sim.GlobalWarmCache()
+	t.Cleanup(wc.Reset)
+	run := func(s RunSpec) ([]byte, []byte) {
+		t.Helper()
+		hooks := &telemetry.Hooks{Sampler: telemetry.NewSampler(10_000)}
+		res, err := s.Run(hooks)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("series %q differs between cold and warm runs:\n--- cold ---\n%s\n--- warm ---\n%s", key, want, got)
+		var series bytes.Buffer
+		if err := hooks.Sampler.WriteJSONL(&series); err != nil {
+			t.Fatal(err)
+		}
+		return EncodeResult(res), series.Bytes()
+	}
+	for _, cores := range []int{1, 4} {
+		parent := RunSpec{Bench: "mcf", PF: "triage-dyn", Cores: cores, Warmup: 60_000, Measure: 40_000, Seed: 7}
+		child := parent
+		child.Measure = 70_000
+
+		wc.Reset()
+		run(parent)
+		if hits, _, stores := wc.Stats(); hits != 0 || stores != 1 {
+			t.Fatalf("%d cores: cold parent restored %d and stored %d snapshots, want 0 and 1", cores, hits, stores)
+		}
+		warm, warmSeries := run(child)
+		if hits, _, _ := wc.Stats(); hits != 1 {
+			t.Fatalf("%d cores: child restored %d snapshots, want 1", cores, hits)
+		}
+
+		wc.Reset()
+		cold, coldSeries := run(child)
+		if hits, _, _ := wc.Stats(); hits != 0 {
+			t.Fatalf("%d cores: cold child restored %d snapshots from an empty cache", cores, hits)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("%d cores: warm-restored result differs from cold warmup:\n--- cold ---\n%s\n--- warm ---\n%s", cores, cold, warm)
+		}
+		if len(coldSeries) == 0 || !bytes.Equal(coldSeries, warmSeries) {
+			t.Errorf("%d cores: sampled series differ between cold and warm runs:\n--- cold ---\n%s\n--- warm ---\n%s", cores, coldSeries, warmSeries)
 		}
 	}
 }
 
-// TestWarmKeyNoCrossMixCollision pins the warm-key naming contract for
-// multi-programmed mixes. Every mix figure numbers its mixes "mix1"..,
-// but the benchmark compositions differ per figure, so a warm key
-// derived from the display name alone would let fig18's cells restore
-// fig16's warm state (same machine shape, same warmup — the snapshot
-// signature cannot tell the workloads apart). The key must therefore
-// encode the composition: fig18 simulated after fig16 has populated
-// the snapshot cache must match fig18 simulated alone.
-func TestWarmKeyNoCrossMixCollision(t *testing.T) {
+// TestFiguresStoreNoWarmSnapshots pins that figure cells no longer
+// snapshot their warm state: the pool memo serves whole duplicate
+// cells, so a stored snapshot would never be restored.
+func TestFiguresStoreNoWarmSnapshots(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
 	}
-	sim.GlobalWarmCache().Reset()
-	t.Cleanup(sim.GlobalWarmCache().Reset)
-
-	alone, _ := csvFor(t, tinyParams(), 4, []string{"fig18"})
-	sim.GlobalWarmCache().Reset()
-	both, _ := csvFor(t, tinyParams(), 4, []string{"fig16", "fig18"})
-	if !bytes.HasSuffix(both, alone) {
-		t.Errorf("fig18 output changes when fig16 ran first (warm-key collision):\n--- alone ---\n%s\n--- after fig16 ---\n%s", alone, both)
+	wc := sim.GlobalWarmCache()
+	wc.Reset()
+	t.Cleanup(wc.Reset)
+	e05, _ := ByID("fig05")
+	e17, _ := ByID("fig17")
+	for _, tab := range RunAll(NewRunnerPool(tinyParams(), NewPool(2)), []Experiment{e05, e17}) {
+		if tab.Failed {
+			t.Fatalf("%s failed", tab.ID)
+		}
+	}
+	if hits, misses, stores := wc.Stats(); hits+misses+stores != 0 {
+		t.Errorf("figures touched the warm cache: %d restores, %d misses, %d stores", hits, misses, stores)
 	}
 }

@@ -88,13 +88,16 @@ type HistSnapshot struct {
 // Snapshot copies the current counts.
 func (h *Histogram) Snapshot() HistSnapshot {
 	var s HistSnapshot
+	// Load count and sum before the buckets: Observe increments the
+	// bucket before the count, so every observation the loaded Count
+	// includes is already in a bucket, and Count never exceeds the
+	// bucket total. (Loading the buckets first lets observations land
+	// in already-scanned buckets before the count is read.)
+	s.Count = h.count.Load()
+	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
-	// Load count and sum after the buckets: a concurrent Observe
-	// increments buckets first, so Count never exceeds the bucket total.
-	s.Sum = h.sum.Load()
-	s.Count = h.count.Load()
 	return s
 }
 

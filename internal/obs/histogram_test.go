@@ -179,7 +179,7 @@ func TestConcurrentObserveScrape(t *testing.T) {
 			for _, c := range s.Buckets {
 				total += c
 			}
-			// Count is loaded after the buckets, so it can never exceed
+			// Count is loaded before the buckets, so it can never exceed
 			// the bucket total even mid-update.
 			if s.Count > total {
 				t.Errorf("snapshot count %d exceeds bucket total %d", s.Count, total)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -84,6 +85,23 @@ func newServerObs(s *Server) *serverObs {
 		func() float64 { return float64(s.storeLen()) })
 	r.GaugeFunc("triaged_uptime_seconds", "seconds since the server started",
 		func() float64 { return time.Since(s.started).Seconds() })
+
+	// The two simulation caches: the process-wide warm-snapshot cache
+	// (single jobs sharing a warm prefix restore from it) and the
+	// pool's figure-cell memo (figure jobs share finished cells).
+	wc := sim.GlobalWarmCache()
+	r.CounterFunc("triaged_warm_restores_total", "runs that restored a warm snapshot instead of simulating warmup (process-wide)",
+		func() float64 { n, _, _ := wc.Stats(); return float64(n) })
+	r.CounterFunc("triaged_warm_misses_total", "warm-snapshot lookups that found none (process-wide)",
+		func() float64 { _, n, _ := wc.Stats(); return float64(n) })
+	r.CounterFunc("triaged_warm_stores_total", "warm snapshots stored (process-wide)",
+		func() float64 { _, _, n := wc.Stats(); return float64(n) })
+	r.GaugeFunc("triaged_warm_held_bytes", "approximate heap bytes of the warm snapshots held (process-wide)",
+		func() float64 { return float64(wc.HeldBytes()) })
+	r.CounterFunc("triaged_memo_hits_total", "figure cells served by the pool memo",
+		func() float64 { h, _ := s.pool.MemoStats(); return float64(h) })
+	r.CounterFunc("triaged_memo_simulated_total", "figure cells simulated into the pool memo",
+		func() float64 { _, n := s.pool.MemoStats(); return float64(n) })
 
 	o.hQueueWait = r.Histogram("triaged_queue_wait_seconds",
 		"admission to run start", 1e-9)

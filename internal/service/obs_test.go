@@ -286,3 +286,62 @@ func TestObsOverheadGuard(t *testing.T) {
 			best, budget, jobTime)
 	}
 }
+
+// TestMetricsExportCaches pins the cache counters in the registry: a
+// figure job whose cells an earlier figure job already simulated is
+// served by the pool memo, and a single job sharing an earlier job's
+// warm prefix restores its warm snapshot. The warm-cache counters are
+// process-wide, so they are checked as deltas.
+func TestMetricsExportCaches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test")
+	}
+	srv := newTestServer(t, nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	metric := func(name string) float64 {
+		t.Helper()
+		v, ok := srv.Registry().Snapshot()[name].(float64)
+		if !ok {
+			t.Fatalf("registry has no metric %s", name)
+		}
+		return v
+	}
+	run := func(spec JobSpec) {
+		t.Helper()
+		_, sr := postJob(t, ts, spec)
+		if st := waitDone(t, ts, sr.ID); st.State != StateDone || st.Failed {
+			t.Fatalf("job ended %+v", st)
+		}
+	}
+
+	scale := &FigureScale{Warmup: 10_000, Measure: 30_000, MultiWarmup: 10_000, MultiMeasure: 20_000, Mixes: 1}
+	run(JobSpec{Kind: KindFigure, Figure: "fig05", Scale: scale})
+	simulated := metric("triaged_memo_simulated_total")
+	if simulated == 0 || metric("triaged_memo_hits_total") != 0 {
+		t.Fatalf("after fig05: memo simulated %v cells with %v hits, want some and none",
+			simulated, metric("triaged_memo_hits_total"))
+	}
+	// Fig06 runs exactly fig05's grid.
+	run(JobSpec{Kind: KindFigure, Figure: "fig06", Scale: scale})
+	if got := metric("triaged_memo_simulated_total"); got != simulated {
+		t.Errorf("fig06 simulated %v more cells, want 0", got-simulated)
+	}
+	if got := metric("triaged_memo_hits_total"); got < simulated {
+		t.Errorf("memo hits %v, want at least fig06's %v cells", got, simulated)
+	}
+
+	restores, stores := metric("triaged_warm_restores_total"), metric("triaged_warm_stores_total")
+	parent := tinySpec(5)
+	parent.Run.Warmup = 20_000
+	run(parent)
+	if metric("triaged_warm_stores_total") <= stores || metric("triaged_warm_held_bytes") <= 0 {
+		t.Error("a single job with a warmup stored no warm snapshot")
+	}
+	child := tinySpec(5)
+	child.Run.Warmup, child.Run.Measure = 20_000, 40_000
+	run(child)
+	if metric("triaged_warm_restores_total") <= restores {
+		t.Error("a single job sharing a warm prefix restored no snapshot")
+	}
+}

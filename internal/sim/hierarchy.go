@@ -274,7 +274,7 @@ func (h *hierarchy) applyPartition(now uint64) {
 	// Flushed dirty lines are written back (the paper flushes the
 	// reallocated portion immediately).
 	for _, ev := range evs {
-		if ev.Dirty {
+		if ev.Dirty() {
 			h.ram.Access(0, ev.Line, dram.Writeback)
 		}
 	}
@@ -303,7 +303,7 @@ func (h *hierarchy) metaWaysOf(c int) float64 {
 func (h *hierarchy) load(c int, pc uint64, line mem.Line, now uint64) uint64 {
 	acc := replacement.Access{Line: line, PC: pc, Core: c}
 
-	if r := h.l1[c].Access(line, acc, now); r.Hit {
+	if r := h.l1[c].Access(line, acc, now); r.Hit() {
 		ready := now + h.l1Lat
 		if r.ReadyTick > ready {
 			ready = r.ReadyTick
@@ -317,14 +317,14 @@ func (h *hierarchy) load(c int, pc uint64, line mem.Line, now uint64) uint64 {
 	t, slotL1 := h.l1mshr[c].admit(now)
 	var ready uint64
 
-	if r := h.l2[c].Access(line, acc, t); r.Hit {
+	if r := h.l2[c].Access(line, acc, t); r.Hit() {
 		ready = t + h.l2Lat
 		if r.ReadyTick > ready {
 			ready = r.ReadyTick
 		}
 		h.fill(h.l1[c], c, line, acc, false, ready)
 		h.l1mshr[c].commit(slotL1, ready)
-		if r.WasPrefetch {
+		if r.WasPrefetch() {
 			if h.tr != nil {
 				h.tr.Emit(telemetry.Event{Tick: t, Kind: telemetry.EvUsed, Core: int32(c), Level: 2, Line: uint64(line), PC: pc})
 			}
@@ -337,12 +337,12 @@ func (h *hierarchy) load(c int, pc uint64, line mem.Line, now uint64) uint64 {
 	// L2 demand miss: training event regardless of LLC outcome.
 	ev := prefetch.Event{PC: pc, Line: line, Core: c, Miss: true, Tick: t}
 	t2, slotL2 := h.l2mshr[c].admit(t)
-	if r := h.llc.Access(line, acc, t2); r.Hit {
+	if r := h.llc.Access(line, acc, t2); r.Hit() {
 		ready = t2 + h.llcLat
 		if r.ReadyTick > ready {
 			ready = r.ReadyTick
 		}
-		if r.WasPrefetch && h.tr != nil {
+		if r.WasPrefetch() && h.tr != nil {
 			h.tr.Emit(telemetry.Event{Tick: t2, Kind: telemetry.EvUsed, Core: int32(c), Level: 3, Line: uint64(line), PC: pc})
 		}
 	} else {
@@ -362,21 +362,21 @@ func (h *hierarchy) load(c int, pc uint64, line mem.Line, now uint64) uint64 {
 // the line is write-allocated and dirtied.
 func (h *hierarchy) store(c int, pc uint64, line mem.Line, now uint64) {
 	acc := replacement.Access{Line: line, PC: pc, Core: c}
-	if r := h.l1[c].Access(line, acc, now); r.Hit {
+	if r := h.l1[c].Access(line, acc, now); r.Hit() {
 		h.l1[c].MarkDirty(line)
 		h.trainL1(c, pc, line, now)
 		return
 	}
 	h.trainL1(c, pc, line, now)
 	t, slotL1 := h.l1mshr[c].admit(now)
-	if r := h.l2[c].Access(line, acc, t); r.Hit {
+	if r := h.l2[c].Access(line, acc, t); r.Hit() {
 		ready := t + h.l2Lat
 		if r.ReadyTick > ready {
 			ready = r.ReadyTick
 		}
 		h.fill(h.l1[c], c, line, acc, true, ready)
 		h.l1mshr[c].commit(slotL1, ready)
-		if r.WasPrefetch {
+		if r.WasPrefetch() {
 			if h.tr != nil {
 				h.tr.Emit(telemetry.Event{Tick: t, Kind: telemetry.EvUsed, Core: int32(c), Level: 2, Line: uint64(line), PC: pc})
 			}
@@ -387,7 +387,7 @@ func (h *hierarchy) store(c int, pc uint64, line mem.Line, now uint64) {
 	ev := prefetch.Event{PC: pc, Line: line, Core: c, Miss: true, Store: true, Tick: t}
 	t2, slotL2 := h.l2mshr[c].admit(t)
 	var ready uint64
-	if r := h.llc.Access(line, acc, t2); r.Hit {
+	if r := h.llc.Access(line, acc, t2); r.Hit() {
 		ready = t2 + h.llcLat
 	} else {
 		ready = h.ram.Access(t2, line, dram.DemandRead) // write-allocate fetch
@@ -404,10 +404,10 @@ func (h *hierarchy) store(c int, pc uint64, line mem.Line, now uint64) {
 // fill installs a line and routes the displaced victim's writeback.
 func (h *hierarchy) fill(dst *cache.Cache, c int, line mem.Line, acc replacement.Access, dirty bool, ready uint64) {
 	ev := dst.Fill(line, acc, dirty, ready)
-	if !ev.Valid {
+	if !ev.Valid() {
 		return
 	}
-	if ev.Prefetch && h.tr != nil {
+	if ev.Prefetch() && h.tr != nil {
 		switch dst {
 		case h.l2[c]:
 			h.tr.Emit(telemetry.Event{Tick: ready, Kind: telemetry.EvEvictedUnused, Core: int32(ev.Core), Level: 2, Line: uint64(ev.Line)})
@@ -415,7 +415,7 @@ func (h *hierarchy) fill(dst *cache.Cache, c int, line mem.Line, acc replacement
 			h.tr.Emit(telemetry.Event{Tick: ready, Kind: telemetry.EvEvictedUnused, Core: int32(ev.Core), Level: 3, Line: uint64(ev.Line)})
 		}
 	}
-	if !ev.Dirty {
+	if !ev.Dirty() {
 		return
 	}
 	switch dst {
@@ -453,7 +453,7 @@ func (h *hierarchy) trainL1(c int, pc uint64, line mem.Line, now uint64) {
 			continue
 		}
 		var ready uint64
-		if r := h.llc.Access(req.Line, acc, now); r.Hit {
+		if r := h.llc.Access(req.Line, acc, now); r.Hit() {
 			ready = now + h.llcLat
 			h.fill(h.l2[c], c, req.Line, acc, false, ready)
 		} else {
@@ -528,7 +528,7 @@ func (h *hierarchy) trainL2(c int, ev prefetch.Event) {
 		}
 		var ready uint64
 		missedCache := false
-		if r := h.llc.Access(req.Line, acc, issueAt); r.Hit {
+		if r := h.llc.Access(req.Line, acc, issueAt); r.Hit() {
 			ready = issueAt + h.llcLat
 			if r.ReadyTick > ready {
 				ready = r.ReadyTick

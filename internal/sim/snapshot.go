@@ -80,6 +80,14 @@ func (wc *WarmCache) Stats() (hits, misses, stores uint64) {
 	return wc.hits, wc.misses, wc.stores
 }
 
+// HeldBytes reports the approximate heap bytes of the snapshots the
+// cache currently holds.
+func (wc *WarmCache) HeldBytes() int64 {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	return wc.used
+}
+
 // Reset drops every cached snapshot and zeroes the stats counters
 // (tests and benchmarks that need a known-cold cache).
 func (wc *WarmCache) Reset() {

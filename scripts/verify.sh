@@ -128,6 +128,22 @@ cmp "$smokedir/direct.json" "$smokedir/warm.json"
 grep -q "warm store" "$smokedir/warm.log"
 kill -TERM "$triaged_pid"
 wait "$triaged_pid"
+# Start-up drain smoke: a SIGTERM sent the moment the port file appears
+# must still drain (the handler is installed before the address is
+# published) and exit 0. The port file is polled without sleeping so
+# the signal lands within microseconds of the publish; three rounds.
+for _ in 1 2 3; do
+    rm -f "$smokedir/port"
+    "$smokedir/triaged" -listen 127.0.0.1:0 -portfile "$smokedir/port" \
+        -store "$smokedir/sigterm-store" -queue 8 -workers 1 \
+        2>"$smokedir/sigterm.log" &
+    triaged_pid=$!
+    n=0
+    until [ -s "$smokedir/port" ] || [ "$n" -ge 5000000 ]; do n=$((n + 1)); done
+    kill -TERM "$triaged_pid"
+    wait "$triaged_pid"
+    grep -q 'drained' "$smokedir/sigterm.log"
+done
 
 # Trace-corpus smoke: materialize a generator prefix into a content-
 # addressed corpus (tracegen prints the sha256 id on stdout), replay it
