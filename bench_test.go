@@ -552,15 +552,16 @@ func BenchmarkExperimentRegistry(b *testing.B) {
 	}
 }
 
-// --- Step-loop microbenchmarks (BENCH_sim.json "micro" rows) ---
+// --- Step-loop microbenchmarks ---
 //
 // These three isolate the simulator's hot machinery rather than a
 // figure: the batched retirement loop itself, the devirtualized
-// prefetcher dispatch path, and warm-state snapshot restore. Merge
-// their results into BENCH_sim.json with:
+// prefetcher dispatch path, and warm-state snapshot restore. Run them
+// with:
 //
-//	go test -run '^$' -bench 'StepLoop|PrefetchDispatch|WarmupSnapshot' . |
-//	    go run ./cmd/benchmerge -file BENCH_sim.json -pkg repro
+//	go test -run '^$' -bench 'StepLoop|PrefetchDispatch|WarmupSnapshot' .
+//
+// End-to-end timing is perfbench's job (bash perfbench/bench.sh).
 
 // BenchmarkStepLoop measures the raw batched step loop: one core, no
 // prefetcher, so nothing but dispatch, cache lookups, and retirement.

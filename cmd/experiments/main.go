@@ -9,14 +9,9 @@
 // simulations run concurrently (default: GOMAXPROCS); tables and CSVs
 // are byte-identical for every -j. Results print as aligned text
 // tables with shape notes; EXPERIMENTS.md records paper-vs-measured
-// values for a committed run.
-//
-// -bench FILE runs each selected experiment with a fresh runner on one
-// pool, timing it, and writes a JSON report of simulation throughput
-// (see EXPERIMENTS.md "Performance"); cells an earlier experiment
-// already simulated are served by the pool's memo and not counted
-// again. -telemetry attaches a sampler to
-// every run so the report also measures the instrumented path.
+// values for a committed run. The repository's benchmark times this
+// command end to end: `bash perfbench/bench.sh --workload figures`
+// (see perfbench/README.md).
 //
 // Introspection: -progress prints a live status line (runs, Minstr/s,
 // busy workers, ETA) to stderr; -debughttp ADDR serves expvar counters
@@ -41,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/benchfile"
 	"repro/internal/cliutil"
 	"repro/internal/config"
 	"repro/internal/experiments"
@@ -61,14 +55,11 @@ func main() {
 		mmeasure = flag.Uint64("mmeasure", 0, "override multi-core measured instructions")
 		seed     = flag.Uint64("seed", 0, "override workload seed")
 		csvDir   = flag.String("csv", "", "also write each table as CSV into this directory")
-		bench    = flag.String("bench", "", "write a JSON throughput report (per-experiment wall time and sim-instr/s) to this file")
 
-		resume  = flag.String("resume", "", "checkpoint directory: completed runs persist here and an interrupted invocation restarts only the missing cells")
-		retries = flag.Int("retries", 0, "extra attempts for transiently failed runs (fault-injection test hook; deterministic failures are never retried)")
-		check   = flag.Uint64("check", 0, "assert simulator structural invariants every N instructions (debug mode, 0 = off)")
+		resume = flag.String("resume", "", "checkpoint directory: completed runs persist here and an interrupted invocation restarts only the missing cells")
+		check  = flag.Uint64("check", 0, "assert simulator structural invariants every N instructions (debug mode, 0 = off)")
 
 		progress = flag.Bool("progress", false, "print a live progress line to stderr")
-		withTel  = flag.Bool("telemetry", false, "attach a 100k-instruction sampler to every run (bench: measures the instrumented path)")
 	)
 	wd := cliutil.AddWatchdog(flag.CommandLine)
 	debugHTTP := cliutil.AddDebugHTTP(flag.CommandLine)
@@ -97,12 +88,8 @@ func main() {
 	if *seed > 0 {
 		p.Seed = *seed
 	}
-	if *withTel {
-		p.SampleEvery = 100_000
-	}
 	p.Deadline = *wd.Deadline
 	p.StallTimeout = *wd.Stall
-	p.Retries = *retries
 	p.CheckEvery = *check
 
 	var selected []experiments.Experiment
@@ -136,16 +123,6 @@ func main() {
 			defer stop()
 		}
 		debugHTTP.Serve(prog, os.Stderr)
-	}
-
-	if *bench != "" {
-		if err := runBench(*bench, p, pool, selected, *csvDir, *withTel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("total: %.1fs\n", time.Since(start).Seconds())
-		printCaches(pool)
-		return
 	}
 
 	var ck *experiments.Checkpoint
@@ -183,9 +160,6 @@ func main() {
 		float64(runner.SimulatedInstructions())/time.Since(start).Seconds()/1e6)
 	// Diagnostics go to stderr so stdout stays byte-identical between
 	// fresh and resumed invocations.
-	for _, err := range runner.SampleErrors() {
-		fmt.Fprintf(os.Stderr, "warning: %v\n", err)
-	}
 	if ck != nil {
 		fmt.Fprintf(os.Stderr, "checkpoint: %d cells restored, %d simulated\n",
 			runner.Restored(), runner.Runs())
@@ -209,67 +183,6 @@ func printCaches(pool *experiments.Pool) {
 	restores, misses, stores := wc.Stats()
 	fmt.Fprintf(os.Stderr, "caches: memo %d hits, %d simulated; warm snapshots %d restored, %d missed, %d stored, %.1f MB held\n",
 		hits, simulated, restores, misses, stores, float64(wc.HeldBytes())/1e6)
-}
-
-// runBench times each experiment with a fresh runner on the shared
-// pool and writes the versioned JSON report (internal/benchfile). The
-// runners share the pool's cell memo, so a row counts only the cells
-// its experiment was first to need: an experiment whose cells earlier
-// rows already simulated reports fewer simulations and less time than
-// it would alone. Experiments run one at a time;
-// their internal simulations still fan out across the pool. An existing
-// report's microbenchmark rows (appended by cmd/benchmerge) survive the
-// rewrite; the experiment rows are replaced wholesale.
-func runBench(path string, p experiments.Params, pool *experiments.Pool, selected []experiments.Experiment, csvDir string, withTel bool) error {
-	report, err := benchfile.Read(path)
-	if err != nil {
-		return err
-	}
-	report.Experiments = nil
-	var totalInstr, totalRuns uint64
-	benchStart := time.Now()
-	for _, e := range selected {
-		runner := experiments.NewRunnerPool(p, pool)
-		t0 := time.Now()
-		fmt.Printf("running %s (%s)...\n", e.ID, e.Short)
-		table := experiments.RunOne(runner, e)
-		wall := time.Since(t0).Seconds()
-		instr := runner.SimulatedInstructions()
-		totalInstr += instr
-		totalRuns += runner.Runs()
-		report.Experiments = append(report.Experiments, benchfile.Experiment{
-			Experiment:       e.ID,
-			WallSeconds:      wall,
-			Simulations:      runner.Runs(),
-			SimInstructions:  instr,
-			SimInstrPerSec:   float64(instr) / wall,
-			Workers:          pool.Workers(),
-			WarmupInstr:      p.Warmup,
-			MeasureInstr:     p.Measure,
-			MultiWarmupInstr: p.MultiWarmup,
-			MultiMeasure:     p.MultiMeasure,
-			Telemetry:        withTel,
-		})
-		if csvDir != "" {
-			if err := writeCSV(csvDir, e.ID, table); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("(%s took %.1fs, %.2fM sim-instr/s)\n\n", e.ID, wall, float64(instr)/wall/1e6)
-	}
-	totalWall := time.Since(benchStart).Seconds()
-	report.Experiments = append(report.Experiments, benchfile.Experiment{
-		Experiment:      "total",
-		WallSeconds:     totalWall,
-		Simulations:     totalRuns,
-		SimInstructions: totalInstr,
-		SimInstrPerSec:  float64(totalInstr) / totalWall,
-		Workers:         pool.Workers(),
-		WarmupInstr:     p.Warmup,
-		MeasureInstr:    p.Measure,
-		Telemetry:       withTel,
-	})
-	return report.Write(path)
 }
 
 func writeCSV(dir, id string, t *experiments.Table) error {

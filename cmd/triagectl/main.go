@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"strconv"
@@ -53,11 +52,7 @@ func run(args []string) error {
 	if global.NArg() == 0 {
 		return usage()
 	}
-	c := &client{
-		base:       "http://" + *addr,
-		maxRetries: *maxRetries,
-		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
-	}
+	c := newClient("http://"+*addr, *maxRetries, time.Now().UnixNano())
 	cmd, rest := global.Arg(0), global.Args()[1:]
 	switch cmd {
 	case "submit":
@@ -93,29 +88,17 @@ type client struct {
 	base       string
 	http       http.Client
 	maxRetries int
-
-	mu  sync.Mutex // guards rng (cmdFigures retries concurrently)
-	rng *rand.Rand
+	retry      *cluster.Backoff
 }
 
-// backoffBase and backoffCap bound the retry schedule:
-// backoffBase·2^attempt, capped, ±25% jitter.
-const (
-	backoffBase = 250 * time.Millisecond
-	backoffCap  = 5 * time.Second
-)
-
-// backoffDelay computes the capped exponential backoff with jitter for
-// the given retry attempt (0-based). The jitter keeps a fleet of
-// clients from hammering a recovering server in lockstep.
-func backoffDelay(attempt int, rng *rand.Rand) time.Duration {
-	d := backoffBase << uint(min(attempt, 20))
-	if d <= 0 || d > backoffCap {
-		d = backoffCap
+// newClient builds a client whose retries follow the cluster's seeded
+// backoff: 250ms·2^attempt, capped at 5s, ±25% jitter.
+func newClient(base string, maxRetries int, seed int64) *client {
+	return &client{
+		base:       base,
+		maxRetries: maxRetries,
+		retry:      cluster.NewBackoff(seed, 250*time.Millisecond, 5*time.Second),
 	}
-	// ±25%: uniform in [0.75d, 1.25d].
-	jitter := time.Duration(rng.Int63n(int64(d)/2+1)) - d/4
-	return d + jitter
 }
 
 // retryableNetErr reports whether err is a transient connection
@@ -166,9 +149,7 @@ func (c *client) do(method, path string, body []byte) (*http.Response, error) {
 				return resp, nil // caller renders the 5xx via apiError
 			}
 		}
-		c.mu.Lock()
-		delay := backoffDelay(attempt, c.rng)
-		c.mu.Unlock()
+		delay := c.retry.Delay(attempt)
 		reason, src := "", "backoff"
 		if err != nil {
 			reason = err.Error()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -18,25 +17,22 @@ import (
 	"repro/internal/service"
 )
 
-// TestBackoffDelaySchedule pins the retry schedule: exponential from
-// the base, capped, and always within the ±25% jitter band.
+// TestBackoffDelaySchedule pins the client's retry schedule:
+// exponential from 250ms, capped at 5s, and always within the ±25%
+// jitter band, even at an attempt deep enough to overflow a shift.
 func TestBackoffDelaySchedule(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for attempt := 0; attempt < 16; attempt++ {
-		want := backoffBase << uint(attempt)
-		if want <= 0 || want > backoffCap {
-			want = backoffCap
+	const base, cap = 250 * time.Millisecond, 5 * time.Second
+	c := testClient("http://unused", 0)
+	for _, attempt := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 63} {
+		want := cap
+		if attempt < 32 && base<<attempt < cap {
+			want = base << attempt
 		}
 		for i := 0; i < 100; i++ {
-			got := backoffDelay(attempt, rng)
-			if got < want*3/4 || got > want*5/4 {
+			if got := c.retry.Delay(attempt); got < want*3/4 || got > want*5/4 {
 				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, got, want*3/4, want*5/4)
 			}
 		}
-	}
-	// Deep attempts must never overflow into negative or zero delays.
-	if d := backoffDelay(63, rng); d < backoffCap*3/4 {
-		t.Fatalf("attempt 63: delay %v, want ~%v (cap)", d, backoffCap)
 	}
 }
 
@@ -62,10 +58,10 @@ func TestRetryableNetErr(t *testing.T) {
 	}
 }
 
-// testClient builds a client with a tiny deterministic backoff so
-// retry tests run fast.
+// testClient builds a client with a fixed backoff seed, so each
+// test's retry schedule is the same on every run.
 func testClient(base string, retries int) *client {
-	return &client{base: base, maxRetries: retries, rng: rand.New(rand.NewSource(42))}
+	return newClient(base, retries, 42)
 }
 
 // TestDoRetries5xxThenSucceeds serves two 503s then a success and

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/trace"
 )
@@ -315,7 +317,10 @@ func TestClusterProgressStreams(t *testing.T) {
 }
 
 // TestClusterMetricsRegistered pins the cluster series on the shared
-// registry, including the per-worker in-flight gauge.
+// registry, including the per-worker in-flight gauge, and the
+// coordinator's observability contract for a remotely run job: the
+// registry renders valid Prometheus text, and the job's trace reads in
+// causal order with its run span naming the worker.
 func TestClusterMetricsRegistered(t *testing.T) {
 	tc := startCluster(t, nil, nil)
 	defer tc.stop()
@@ -326,7 +331,34 @@ func TestClusterMetricsRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitTerminal(t, tc.srv, j)
+	if st := waitTerminal(t, tc.srv, j); st.State != service.StateDone {
+		t.Fatalf("job failed: %s", st.Error)
+	}
+
+	tr, ok := tc.srv.FlightRecorder().Get(j.ID())
+	if !ok {
+		t.Fatal("job's trace is not in the flight recorder")
+	}
+	d := tr.Dump()
+	if err := obs.ValidateTrace(d, "admit", "queue-wait", "run", "store-put", "done"); err != nil {
+		t.Error(err)
+	}
+	for _, sp := range d.Spans {
+		if sp.Name == "run" && !strings.HasPrefix(sp.Attrs["worker"], "metrics-node/") {
+			t.Errorf("run span worker = %q, want metrics-node/<id>", sp.Attrs["worker"])
+		}
+	}
+
+	var prom bytes.Buffer
+	if err := tc.srv.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidatePrometheus(bytes.NewReader(prom.Bytes())); err != nil {
+		t.Errorf("coordinator exposition: %v", err)
+	}
+	if !strings.Contains(prom.String(), "\ntriaged_worker_inflight_metrics_node ") {
+		t.Error("exposition lacks the per-worker in-flight gauge")
+	}
 
 	snap := tc.srv.Registry().Snapshot()
 	for _, name := range []string{

@@ -17,35 +17,46 @@ import (
 // TestBackoffSeededSchedule pins the retry policy: the schedule is a
 // pure function of the seed (two instances with the same seed agree
 // delay for delay), every delay stays inside the ±25% jitter band of
-// its capped exponential center, and different seeds diverge — the
-// property that de-correlates a fleet's reconnect stampede.
+// its capped exponential center — at the worker's poll policy and at
+// triagectl's, including an attempt far enough past the cap to
+// overflow a plain shift — and different seeds diverge, the property
+// that de-correlates a fleet's reconnect stampede.
 func TestBackoffSeededSchedule(t *testing.T) {
+	attempts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 63}
+	for _, pol := range []struct {
+		name      string
+		base, cap time.Duration
+	}{
+		{"worker", 20 * time.Millisecond, 640 * time.Millisecond},
+		{"triagectl", 250 * time.Millisecond, 5 * time.Second},
+	} {
+		a := NewBackoff(42, pol.base, pol.cap)
+		b := NewBackoff(42, pol.base, pol.cap)
+		for _, i := range attempts {
+			if da, db := a.Delay(i), b.Delay(i); da != db {
+				t.Fatalf("%s attempt %d: same seed diverged (%v vs %v)", pol.name, i, da, db)
+			}
+		}
+
+		c := NewBackoff(42, pol.base, pol.cap)
+		for _, i := range attempts {
+			center := pol.cap
+			if i < 32 && pol.base<<i < pol.cap {
+				center = pol.base << i
+			}
+			lo := time.Duration(float64(center) * 0.75)
+			hi := time.Duration(float64(center) * 1.25)
+			for k := 0; k < 100; k++ {
+				if d := c.Delay(i); d < lo || d > hi {
+					t.Fatalf("%s attempt %d: delay %v outside jitter band [%v, %v]", pol.name, i, d, lo, hi)
+				}
+			}
+		}
+	}
+
 	const base, cap = 20 * time.Millisecond, 640 * time.Millisecond
-	a := newBackoff(42, base, cap)
-	b := newBackoff(42, base, cap)
-	for i := 0; i < 12; i++ {
-		da, db := a.Delay(i), b.Delay(i)
-		if da != db {
-			t.Fatalf("attempt %d: same seed diverged (%v vs %v)", i, da, db)
-		}
-	}
-
-	c := newBackoff(42, base, cap)
-	for i := 0; i < 12; i++ {
-		center := base << i
-		if center > cap {
-			center = cap
-		}
-		d := c.Delay(i)
-		lo := time.Duration(float64(center) * 0.75)
-		hi := time.Duration(float64(center) * 1.25)
-		if d < lo || d > hi {
-			t.Errorf("attempt %d: delay %v outside jitter band [%v, %v]", i, d, lo, hi)
-		}
-	}
-
-	d := newBackoff(43, base, cap)
-	e := newBackoff(42, base, cap)
+	d := NewBackoff(43, base, cap)
+	e := NewBackoff(42, base, cap)
 	same := true
 	for i := 0; i < 8; i++ {
 		if d.Delay(i) != e.Delay(i) {
@@ -57,7 +68,7 @@ func TestBackoffSeededSchedule(t *testing.T) {
 	}
 
 	// Jitter bounds hold for the heartbeat interval too.
-	f := newBackoff(7, base, cap)
+	f := NewBackoff(7, base, cap)
 	for i := 0; i < 32; i++ {
 		j := f.Jitter(time.Second, 0.2)
 		if j < 800*time.Millisecond || j >= 1200*time.Millisecond {

@@ -80,7 +80,7 @@ type Worker struct {
 	cfg    WorkerConfig
 	pool   *experiments.Pool
 	client *http.Client
-	retry  *backoff
+	retry  *Backoff
 	token  string // register idempotency key
 	fp     string // machine-config fingerprint stamped on uploads
 
@@ -136,7 +136,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Minute}
 	}
-	retry := newBackoff(cfg.JitterSeed, cfg.PollRetry, 32*cfg.PollRetry)
+	retry := NewBackoff(cfg.JitterSeed, cfg.PollRetry, 32*cfg.PollRetry)
 	return &Worker{
 		cfg:      cfg,
 		pool:     experiments.NewPool(cfg.PoolWorkers),

@@ -234,8 +234,8 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$
 // ValidatePrometheus checks that r is a well-formed Prometheus text
 // exposition: every non-blank, non-comment line must parse as a sample
 // with a finite or +Inf-labeled float value. It returns the first
-// offending line. Used by the load harness and tests to assert the
-// /metrics endpoint stays scrapeable.
+// offending line. Tests use it to assert the /metrics endpoint stays
+// scrapeable.
 func ValidatePrometheus(rd io.Reader) error {
 	sc := bufio.NewScanner(rd)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

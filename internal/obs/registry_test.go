@@ -9,7 +9,7 @@ import (
 
 // TestPrometheusExposition pins the text format: sorted metric order,
 // TYPE/HELP comments, cumulative histogram buckets with scaled bounds,
-// and validity under the same parser the load harness uses.
+// and validity under ValidatePrometheus.
 func TestPrometheusExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("triaged_submitted_total", "jobs admitted")

@@ -114,6 +114,37 @@ func (t *Trace) Dump() TraceDump {
 	return TraceDump{TraceID: t.id, JobID: t.job, Spans: spans}
 }
 
+// ValidateTrace checks that d reads in causal order: span starts never
+// go backwards, no closed span ends before it starts, and names occur
+// among the spans in the given order, with any other spans between
+// them. An enclosing span (run around measure-start) may end after a
+// later span starts. It returns the first violation. Tests use it to
+// assert the /debug/trace contract.
+func ValidateTrace(d TraceDump, names ...string) error {
+	next := 0
+	var last int64
+	for _, sp := range d.Spans {
+		if sp.Start < last {
+			return fmt.Errorf("trace %s: span %q starts at %d, before the previous span's start %d", d.TraceID, sp.Name, sp.Start, last)
+		}
+		last = sp.Start
+		if sp.End != 0 && sp.End < sp.Start {
+			return fmt.Errorf("trace %s: span %q ends (%d) before it starts (%d)", d.TraceID, sp.Name, sp.End, sp.Start)
+		}
+		if next < len(names) && sp.Name == names[next] {
+			next++
+		}
+	}
+	if next < len(names) {
+		got := make([]string, len(d.Spans))
+		for i, sp := range d.Spans {
+			got[i] = sp.Name
+		}
+		return fmt.Errorf("trace %s: span %q missing from %v (want the order %v)", d.TraceID, names[next], got, names)
+	}
+	return nil
+}
+
 // Recorder is the flight recorder: a bounded ring of recent traces,
 // addressable by trace or job id. When full, the oldest trace is
 // evicted. It is the backing store of GET /debug/trace/{id} and of the

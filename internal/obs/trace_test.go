@@ -53,6 +53,33 @@ func TestTraceSpanLifecycle(t *testing.T) {
 	}
 }
 
+// TestValidateTraceRejectsDisorder pins the trace checker both ways.
+func TestValidateTraceRejectsDisorder(t *testing.T) {
+	good := TraceDump{TraceID: "t", Spans: []Span{
+		{Name: "admit", Start: 1, End: 1},
+		{Name: "run", Start: 2, End: 9},
+		{Name: "measure-start", Start: 3, End: 3}, // nested inside run
+		{Name: "done", Start: 9, End: 9},
+	}}
+	if err := ValidateTrace(good, "admit", "run", "done"); err != nil {
+		t.Errorf("ordered trace rejected: %v", err)
+	}
+	for name, c := range map[string]struct {
+		spans []Span
+		names []string
+	}{
+		"start goes backwards": {[]Span{{Name: "admit", Start: 5}, {Name: "done", Start: 4}}, nil},
+		"ends before start":    {[]Span{{Name: "run", Start: 5, End: 4}}, nil},
+		"missing span":         {good.Spans, []string{"admit", "store-put", "done"}},
+		"out of order":         {good.Spans, []string{"done", "admit"}},
+		"empty trace":          {nil, []string{"done"}},
+	} {
+		if err := ValidateTrace(TraceDump{TraceID: "t", Spans: c.spans}, c.names...); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // TestRecorderRingEviction pins the bounded flight recorder: oldest
 // traces fall out, lookups work by both trace and job id.
 func TestRecorderRingEviction(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/vfs"
 )
 
@@ -104,6 +105,14 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 	var jr JobResult
 	if err := json.Unmarshal(body, &jr); err != nil || jr.Result == nil {
 		t.Fatalf("degraded result unserveable: %v (%s)", err, body)
+	}
+	// Its trace reads in causal order through the failed write.
+	tr2, ok := srv.FlightRecorder().Get(sr2.ID)
+	if !ok {
+		t.Fatal("job 2's trace is not in the flight recorder")
+	}
+	if err := obs.ValidateTrace(tr2.Dump(), "admit", "queue-wait", "run", "store-put", "done", "result-served"); err != nil {
+		t.Error(err)
 	}
 	// ...and a resubmission dedups onto it rather than re-simulating.
 	respDup, srDup := postJob(t, ts, tinySpec(2))

@@ -165,8 +165,7 @@ func (o *serverObs) dumpFlight(w io.Writer, cause string) {
 }
 
 // Registry exposes the server's metric registry (Prometheus text via
-// WritePrometheus, JSON via Snapshot). Load harnesses scrape through
-// it in-process.
+// WritePrometheus, JSON via Snapshot).
 func (s *Server) Registry() *obs.Registry { return s.obs.reg }
 
 // FlightRecorder exposes the bounded trace ring behind /debug/trace.

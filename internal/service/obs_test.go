@@ -135,39 +135,9 @@ func TestTraceEndToEnd(t *testing.T) {
 		if d.TraceID != sr.Trace || d.JobID != sr.ID {
 			t.Fatalf("trace ids %q/%q, want %q/%q", d.TraceID, d.JobID, sr.Trace, sr.ID)
 		}
-		assertSpanOrder(t, d, []string{
-			"admit", "queue-wait", "run", "measure-start", "store-put", "done", "result-served",
-		})
-	}
-}
-
-// assertSpanOrder checks that names appear as a subsequence of the
-// trace's spans (in order) and that timestamps are monotonic: span
-// starts never go backwards across the sequence, and no span ends
-// before it starts. (An enclosing span — run around measure-start —
-// legitimately ends after a nested mark begins.)
-func assertSpanOrder(t *testing.T, d obs.TraceDump, names []string) {
-	t.Helper()
-	next := 0
-	var last int64
-	for _, sp := range d.Spans {
-		if sp.Start < last {
-			t.Errorf("span %q starts at %d, before the previous span's start %d", sp.Name, sp.Start, last)
+		if err := obs.ValidateTrace(d, "admit", "queue-wait", "run", "measure-start", "store-put", "done", "result-served"); err != nil {
+			t.Error(err)
 		}
-		last = sp.Start
-		if sp.End != 0 && sp.End < sp.Start {
-			t.Errorf("span %q ends (%d) before it starts (%d)", sp.Name, sp.End, sp.Start)
-		}
-		if next < len(names) && sp.Name == names[next] {
-			next++
-		}
-	}
-	if next != len(names) {
-		got := make([]string, len(d.Spans))
-		for i, sp := range d.Spans {
-			got[i] = sp.Name
-		}
-		t.Errorf("span sequence missing %q: trace has %v", names[next], got)
 	}
 }
 

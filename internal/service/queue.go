@@ -25,12 +25,16 @@ func newJobQueue() *jobQueue {
 	return q
 }
 
-// push enqueues a job and wakes one worker.
-func (q *jobQueue) push(j *Job) {
+// push enqueues a job, wakes one worker, and returns the queue depth
+// the push produced. A depth read after push returns may already miss
+// the job a woken worker popped, so high-water marks use this one.
+func (q *jobQueue) push(j *Job) int {
 	q.mu.Lock()
 	heap.Push(&q.items, j)
+	n := len(q.items)
 	q.mu.Unlock()
 	q.cond.Signal()
+	return n
 }
 
 // pop blocks until a job is available or the queue is closed. It

@@ -132,8 +132,7 @@ func (s *Server) Requeue(j *Job, reason string) bool {
 		tr.Mark("requeue", map[string]string{"reason": reason})
 	}
 	s.mRunning.Add(-1)
-	s.q.push(j)
-	s.obs.gQueueHWM.SetMax(int64(s.q.len()))
+	s.obs.gQueueHWM.SetMax(int64(s.q.push(j)))
 	return true
 }
 

@@ -326,8 +326,7 @@ func (s *Server) recoverQueue() error {
 		s.jobs[j.id] = j
 		s.byKey[j.key] = j
 		s.admitTrace(j, "restored", true)
-		s.q.push(j)
-		s.obs.gQueueHWM.SetMax(int64(s.q.len()))
+		s.obs.gQueueHWM.SetMax(int64(s.q.push(j)))
 		s.mRestored.Add(1)
 	}
 	return nil
@@ -399,8 +398,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, Disposition, error) {
 	s.jobs[j.id] = j
 	s.byKey[key] = j
 	s.admitTrace(j, "new", true)
-	s.q.push(j)
-	s.obs.gQueueHWM.SetMax(int64(s.q.len()))
+	s.obs.gQueueHWM.SetMax(int64(s.q.push(j)))
 	s.mSubmitted.Add(1)
 	return j, DispNew, nil
 }
@@ -781,13 +779,11 @@ func (s *Server) tryRecover() {
 	}
 }
 
+// complete and fail count the job and mark its trace before they
+// publish the terminal state: a client that sees the job done must
+// also see it in /metrics, and its result-served span must follow the
+// done mark.
 func (s *Server) complete(j *Job, payload []byte, failedTable bool) {
-	s.mu.Lock()
-	j.state = StateDone
-	j.result = payload
-	j.failedTable = failedTable
-	s.mu.Unlock()
-	j.feed.Finish()
 	s.mCompleted.Add(1)
 	if j.admittedNS > 0 {
 		s.obs.hSubmitToResult.Observe(uint64(time.Now().UnixNano() - j.admittedNS))
@@ -795,14 +791,15 @@ func (s *Server) complete(j *Job, payload []byte, failedTable bool) {
 	if j.trace != nil {
 		j.trace.Mark("done", nil)
 	}
+	s.mu.Lock()
+	j.state = StateDone
+	j.result = payload
+	j.failedTable = failedTable
+	s.mu.Unlock()
+	j.feed.Finish()
 }
 
 func (s *Server) fail(j *Job, msg string) {
-	s.mu.Lock()
-	j.state = StateFailed
-	j.errMsg = msg
-	s.mu.Unlock()
-	j.feed.Finish()
 	s.mFailed.Add(1)
 	if j.admittedNS > 0 {
 		s.obs.hSubmitToResult.Observe(uint64(time.Now().UnixNano() - j.admittedNS))
@@ -810,6 +807,11 @@ func (s *Server) fail(j *Job, msg string) {
 	if j.trace != nil {
 		j.trace.Mark("failed", map[string]string{"error": msg})
 	}
+	s.mu.Lock()
+	j.state = StateFailed
+	j.errMsg = msg
+	s.mu.Unlock()
+	j.feed.Finish()
 }
 
 // DrainStats reports what a drain left behind.

@@ -24,7 +24,7 @@ go vet ./...
 go test -race ./internal/experiments ./internal/sim
 go test -race ./internal/cache ./internal/replacement
 go test -race ./internal/service
-go test -race ./internal/obs ./cmd/triageload
+go test -race ./internal/obs
 go test -race ./internal/cluster
 
 # Fault-injection suite: panic isolation, watchdog deadlines, bounded
@@ -162,37 +162,6 @@ tid=$("$smokedir/tracegen" -bench mcf -seed 42 -n 700000 -base $((1<<40)) \
     -warmup 100000 -measure 200000 -json "$smokedir/replay.json" >/dev/null
 cmp "$smokedir/gen.json" "$smokedir/replay.json"
 
-# Capacity-harness smoke: with a fixed seed and the virtual clock,
-# two triageload runs (in-memory store, real-service validation pass
-# included) must produce byte-identical BENCH_service.json rows, and
-# benchmerge -service must fold them into a report.
-go build -o "$smokedir/triageload" ./cmd/triageload
-go build -o "$smokedir/benchmerge" ./cmd/benchmerge
-"$smokedir/triageload" -scenario smoke -process poisson -rate 500 -jobs 60 \
-    -seed 7 -validate 4 -o "$smokedir/svc-a.json"
-"$smokedir/triageload" -scenario smoke -process poisson -rate 500 -jobs 60 \
-    -seed 7 -validate 4 -o "$smokedir/svc-b.json"
-cmp "$smokedir/svc-a.json" "$smokedir/svc-b.json"
-"$smokedir/benchmerge" -service -file "$smokedir/BENCH_service.json" \
-    <"$smokedir/svc-a.json"
-grep -q '"scenario": "smoke"' "$smokedir/BENCH_service.json"
-
-# Degraded-mode capacity smoke: a sustained-overload scenario whose
-# result store fails mid-run must report 503 rejections, stay byte-
-# identical across reruns (virtual clock), and survive the same fault
-# window against a real in-process server with a live vfs.Faulty.
-"$smokedir/triageload" -scenario overload-smoke -process poisson -rate 600 \
-    -jobs 150 -seed 9 -faultafter 40 -faultfor 60 -validate 4 \
-    -o "$smokedir/deg-a.json"
-"$smokedir/triageload" -scenario overload-smoke -process poisson -rate 600 \
-    -jobs 150 -seed 9 -faultafter 40 -faultfor 60 -validate 4 \
-    -o "$smokedir/deg-b.json"
-cmp "$smokedir/deg-a.json" "$smokedir/deg-b.json"
-grep -q '"rejected_503": [1-9]' "$smokedir/deg-a.json"
-"$smokedir/triageload" -scenario overload-wall -process poisson -rate 2000 \
-    -jobs 60 -seed 9 -clock wall -faultafter 15 -faultfor 25 -validate 4 \
-    -o - >/dev/null
-
 # Cluster smoke: the same two figures run once on a plain single-node
 # triaged and once distributed across a coordinator plus two worker
 # processes — one of which is kill -9'd mid-run, so its leased job is
@@ -239,11 +208,20 @@ cmp "$smokedir/solo/fig06.txt" "$smokedir/clus/fig06.txt"
 # The kill was observed: the dead worker's lease lapsed and its figure
 # was requeued onto the survivor.
 "$smokedir/triagectl" -addr "$addr" status | grep -q 'requeued: [1-9]'
-# Capacity harness against the live cluster: the wall clock drives the
-# coordinator over HTTP, jobs execute on the surviving worker, and the
-# observability validation (traces + Prometheus) must hold end to end.
-"$smokedir/triageload" -scenario cluster-wall -process poisson -rate 200 \
-    -jobs 30 -seed 12 -clock wall -addr "$addr" -validate 4 -o - >/dev/null
+# One single job through the coordinator, run on the surviving worker:
+# its result must match the direct run byte for byte, its trace must
+# show the run span naming the worker and the result being served, and
+# the coordinator's Prometheus exposition must count the upload.
+jobid=$("$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
+    -warmup 100000 -measure 200000 -sample 50000)
+"$smokedir/triagectl" -addr "$addr" wait "$jobid"
+"$smokedir/triagectl" -addr "$addr" result -o "$smokedir/clus-single.json" "$jobid"
+cmp "$smokedir/direct.json" "$smokedir/clus-single.json"
+"$smokedir/triagectl" -addr "$addr" trace "$jobid" >"$smokedir/clus-trace.txt"
+grep -q ' run .*"worker":' "$smokedir/clus-trace.txt"
+grep -q 'result-served' "$smokedir/clus-trace.txt"
+"$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/clus-metrics.prom"
+grep -q '^triaged_cluster_results_total [1-9]' "$smokedir/clus-metrics.prom"
 kill -TERM "$worker_a"
 wait "$worker_a"
 wait "$worker_b" 2>/dev/null || true
@@ -289,9 +267,3 @@ wait "$triaged_pid"
 grep -q 'netfault injected' "$smokedir/chaos-coord.log"
 grep -q 'netfault injected' "$smokedir/chaos-a.log"
 grep -q 'netfault injected' "$smokedir/chaos-b.log"
-
-# Throughput regression gate (opt-in: the committed baseline numbers
-# are machine-dependent, so only run where they are comparable).
-if [ "${BENCH_COMPARE:-0}" = "1" ]; then
-    ./scripts/bench-compare.sh
-fi
