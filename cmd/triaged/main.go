@@ -41,7 +41,7 @@ func run() error {
 	listen := flag.String("listen", "127.0.0.1:8080", "address to serve the HTTP API on (port 0 picks a free port)")
 	store := flag.String("store", "runs.service", "result store directory (shared with queued-job persistence)")
 	queueCap := flag.Int("queue", 64, "admission queue capacity; submissions beyond it get 429")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent simulations")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "in-process job slots, each running one job at a time on a shared simulation pool of this size; none under -cluster, where triageworker processes run every job")
 	portFile := flag.String("portfile", "", "write the bound address to this file once listening (for scripts using port 0)")
 	traceCap := flag.Int("tracecap", 256, "flight-recorder capacity (traces held for /debug/trace)")
 	corpus := flag.String("corpus", "", "content-addressed trace corpus directory; enables jobs that replay traces by hash")
@@ -65,15 +65,17 @@ func run() error {
 	}
 	defer stopProf()
 
+	if *clusterMode {
+		*workers = 0
+	}
 	srv, err := service.New(service.Config{
-		StoreDir:   *store,
-		QueueCap:   *queueCap,
-		Workers:    *workers,
-		Deadline:   *wd.Deadline,
-		Stall:      *wd.Stall,
-		TraceCap:   *traceCap,
-		CorpusDir:  *corpus,
-		RemoteExec: *clusterMode,
+		StoreDir:  *store,
+		QueueCap:  *queueCap,
+		Workers:   *workers,
+		Deadline:  *wd.Deadline,
+		Stall:     *wd.Stall,
+		TraceCap:  *traceCap,
+		CorpusDir: *corpus,
 		// Degraded-mode entries dump the flight recorder to stderr so the
 		// trace timeline around a store fault survives even a crash
 		// before anyone scrapes /debug/trace.
@@ -93,13 +95,10 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "triaged: cluster coordinator enabled (lease %v) — start triageworker processes to execute jobs\n", *lease)
 	}
-	// Surface the service counters on the process-global expvar page:
-	// the whole snapshot under "service" (legacy shape) and the
-	// individual counters under the "triaged." namespace, so a
-	// -debughttp listener's /debug/vars shows them alongside the
-	// runtime's (memstats, cmdline).
+	// Surface the service's metrics snapshot on the process-global
+	// expvar page, so a -debughttp listener's /debug/vars shows it
+	// alongside the runtime's (memstats, cmdline).
 	expvar.Publish("service", expvar.Func(func() any { return srv.MetricsSnapshot() }))
-	srv.PublishExpvars()
 	dbg.Serve(srv.PoolProgress(), os.Stderr)
 
 	ln, err := net.Listen("tcp", *listen)

@@ -32,12 +32,21 @@ func tinySpec(seed uint64) service.JobSpec {
 // cluster test compares against.
 func localPayloads(t *testing.T, specs []service.JobSpec) map[string][]byte {
 	t.Helper()
+	out, _ := localRuns(t, specs)
+	return out
+}
+
+// localRuns is localPayloads that also returns each job's final
+// status, by key.
+func localRuns(t *testing.T, specs []service.JobSpec) (map[string][]byte, map[string]service.JobStatus) {
+	t.Helper()
 	srv, err := service.New(service.Config{StoreDir: t.TempDir(), QueueCap: 64, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { srv.Drain(); srv.Close() }()
 	out := make(map[string][]byte)
+	statuses := make(map[string]service.JobStatus)
 	for _, spec := range specs {
 		j, _, err := srv.Submit(cloneSpec(spec))
 		if err != nil {
@@ -52,8 +61,9 @@ func localPayloads(t *testing.T, specs []service.JobSpec) map[string][]byte {
 			t.Fatalf("baseline job %s has no result", st.Key)
 		}
 		out[st.Key] = payload
+		statuses[st.Key] = st
 	}
-	return out
+	return out, statuses
 }
 
 // cloneSpec deep-copies a JobSpec's Run so in-process Submit (which
@@ -80,8 +90,9 @@ func waitTerminal(t *testing.T, srv *service.Server, j *service.Job) service.Job
 	return service.JobStatus{}
 }
 
-// testCluster is one in-process coordinator stack: a RemoteExec server
-// fronted by the cluster handler on a real HTTP listener.
+// testCluster is one in-process coordinator stack: a server with no
+// in-process slots, fronted by the cluster handler on a real HTTP
+// listener.
 type testCluster struct {
 	srv   *service.Server
 	coord *Coordinator
@@ -90,7 +101,7 @@ type testCluster struct {
 
 func startCluster(t *testing.T, smut func(*service.Config), cmut func(*Config)) *testCluster {
 	t.Helper()
-	scfg := service.Config{StoreDir: t.TempDir(), QueueCap: 64, Workers: 2, RemoteExec: true}
+	scfg := service.Config{StoreDir: t.TempDir(), QueueCap: 64, Workers: 0}
 	if smut != nil {
 		smut(&scfg)
 	}
@@ -249,7 +260,8 @@ func TestClusterDistributedByteIdentical(t *testing.T) {
 
 // TestClusterFigureByteIdentical runs one scaled-down figure job
 // through a worker and compares the stored table payload with the
-// single-node figure path byte for byte.
+// single-node figure path byte for byte, and the job's reported
+// instruction count with the single-node job's.
 func TestClusterFigureByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure simulation skipped in -short mode")
@@ -262,7 +274,7 @@ func TestClusterFigureByteIdentical(t *testing.T) {
 			MultiWarmup: 25_000, MultiMeasure: 25_000, Mixes: 1,
 		},
 	}
-	baseline := localPayloads(t, []service.JobSpec{spec})
+	baseline, local := localRuns(t, []service.JobSpec{spec})
 
 	tc := startCluster(t, nil, nil)
 	defer tc.stop()
@@ -283,6 +295,10 @@ func TestClusterFigureByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(payload, baseline[st.Key]) {
 		t.Error("cluster figure payload differs from the single-node run")
+	}
+	if want := local[st.Key].Instructions; st.Instructions != want || want == 0 {
+		t.Errorf("figure job reports %d instructions on a worker and %d locally, want equal and nonzero",
+			st.Instructions, want)
 	}
 }
 
@@ -320,14 +336,17 @@ func TestClusterProgressStreams(t *testing.T) {
 // registry, including the per-worker in-flight gauge, and the
 // coordinator's observability contract for a remotely run job: the
 // registry renders valid Prometheus text, and the job's trace reads in
-// causal order with its run span naming the worker.
+// causal order — measure-start included, from the worker's relayed
+// samples — with its run span naming the worker.
 func TestClusterMetricsRegistered(t *testing.T) {
 	tc := startCluster(t, nil, nil)
 	defer tc.stop()
 	_, stopW := startWorker(t, tc.ts.URL, "metrics-node", nil)
 	defer stopW()
 
-	j, _, err := tc.srv.Submit(tinySpec(5))
+	spec := tinySpec(5)
+	spec.Run.SampleEvery = 10_000
+	j, _, err := tc.srv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +359,7 @@ func TestClusterMetricsRegistered(t *testing.T) {
 		t.Fatal("job's trace is not in the flight recorder")
 	}
 	d := tr.Dump()
-	if err := obs.ValidateTrace(d, "admit", "queue-wait", "run", "store-put", "done"); err != nil {
+	if err := obs.ValidateTrace(d, "admit", "queue-wait", "run", "measure-start", "store-put", "done"); err != nil {
 		t.Error(err)
 	}
 	for _, sp := range d.Spans {

@@ -3,12 +3,16 @@
 // dedup, and the content-addressed result store, while any number of
 // triageworker processes register over HTTP, hold heartbeat leases,
 // long-poll for jobs, stream progress/sample events back, and upload
-// results. The store stays the single source of truth, so no cell
-// with the same config fingerprint is ever simulated twice
-// cluster-wide; a worker that dies mid-job loses its lease and the
-// job requeues; a coordinator that dies re-admits queued and leased
-// jobs from the admission log (queue.jsonl) — job ids are derived
-// from content keys, so a surviving worker's upload still lands.
+// results. A cluster job goes through the service's one job
+// lifecycle, exactly like a job on triaged's in-process slots: the
+// dispatcher Takes it, assignment Begins it on the worker, the worker
+// runs service.Execute, and its upload Completes or Fails it. The
+// store stays the single source of truth, so no cell with the same
+// config fingerprint is ever simulated twice cluster-wide; a worker
+// that dies mid-job loses its lease and the job requeues; a
+// coordinator that dies re-admits queued and leased jobs from the
+// admission log (queue.jsonl) — job ids are derived from content
+// keys, so a surviving worker's upload still lands.
 //
 // The protocol assumes a hostile network and imperfect workers (see
 // internal/netfault for the fault model): uploads are verified against
@@ -60,8 +64,10 @@ const (
 
 // Config sizes a Coordinator.
 type Config struct {
-	// Server is the underlying service (created with RemoteExec: true).
-	// Required.
+	// Server is the underlying service. Its in-process slots
+	// (service.Config.Workers) would Take from the same queue as the
+	// dispatcher; triaged -cluster runs it with none, so every job goes
+	// to a worker. Required.
 	Server *service.Server
 	// LeaseTTL is how long a job assignment survives without a
 	// heartbeat before the sweep requeues it. Default 10s.
@@ -162,11 +168,11 @@ type lease struct {
 	hedged bool
 }
 
-// New starts a coordinator over a RemoteExec server: the dispatcher
-// pulls queued jobs (skipping any already durable cluster-wide), the
-// sweeper requeues expired leases and hedges stragglers, and cluster
-// metrics register on the server's registry. Call Stop (after draining
-// the server) to shut down.
+// New starts a coordinator over a server: the dispatcher pulls queued
+// jobs (Take completes any already durable cluster-wide), the sweeper
+// requeues expired leases and hedges stragglers, and cluster metrics
+// register on the server's registry. Call Stop (after draining the
+// server) to shut down.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: Config.Server is required")
@@ -237,8 +243,8 @@ func (c *Coordinator) Stop() {
 	}
 }
 
-// dispatchLoop feeds the queue to polling workers, completing
-// already-durable cells from the store instead of assigning them.
+// dispatchLoop feeds the queue to polling workers. Take has already
+// completed any job whose key is durable cluster-wide.
 func (c *Coordinator) dispatchLoop() {
 	defer c.wg.Done()
 	for {
@@ -246,16 +252,6 @@ func (c *Coordinator) dispatchLoop() {
 		if j == nil {
 			close(c.dispatch)
 			return
-		}
-		// Cluster-wide dedup at dispatch: the key may have become
-		// durable after this job queued (an identical cell finished on
-		// another worker, or a pre-loaded store). Serve it, don't
-		// simulate it.
-		if st := c.srv.StateOf(j); st == service.StateDone || st == service.StateFailed {
-			continue
-		}
-		if c.srv.HasDurable(j.Key()) && c.srv.CompleteFromStore(j) {
-			continue
 		}
 		select {
 		case c.dispatch <- j:
@@ -548,8 +544,13 @@ func (c *Coordinator) DrainWorkers(name string) []string {
 	return ids
 }
 
-// assign leases a job to a worker.
-func (c *Coordinator) assign(j *service.Job, ws *workerState) {
+// assign begins a job on a worker and leases it there. It reports
+// false when the job finished while it waited for a poll (Begin
+// refused it); nothing is leased then.
+func (c *Coordinator) assign(j *service.Job, ws *workerState) bool {
+	if !c.srv.Begin(j, ws.name+"/"+ws.id) {
+		return false
+	}
 	now := time.Now()
 	c.mu.Lock()
 	c.leases[j.ID()] = &lease{
@@ -561,12 +562,12 @@ func (c *Coordinator) assign(j *service.Job, ws *workerState) {
 	ws.inflight[j.ID()] = true
 	c.mu.Unlock()
 	c.mAssigned.Add(1)
-	c.srv.BeginRemote(j, ws.name+"/"+ws.id)
 	c.logEvent("assign", j, ws.id)
+	return true
 }
 
 // assignHedge installs a speculative second lease for a job that is
-// already running on its primary worker. No BeginRemote: the job's
+// already running on its primary worker. No Begin: the job's
 // service-side lifecycle is owned by the primary; the hedge exists
 // only in the coordinator's lease table, and first-result-wins makes
 // whichever copy finishes first the real one. Declines (returning
@@ -637,7 +638,8 @@ func (c *Coordinator) heartbeat(ws *workerState, jobs []string) (cancelled []str
 	return cancelled
 }
 
-// events folds a worker's progress batch into the job's feed.
+// events folds a worker's progress batch into the job (its feed and
+// trace), the sink an in-process run streams into directly.
 // Progress is accepted only from the current primary lease holder (a
 // hedge's progress would double-count); batches dedup on their
 // sequence number, so a duplicate-delivered batch folds once, and
@@ -658,15 +660,14 @@ func (c *Coordinator) events(jobID string, batch EventBatch) {
 		}
 		l.lastSeq = batch.Seq
 	}
-	feed := l.job.Feed()
 	if batch.Instructions > l.lastInstr {
-		feed.Add(batch.Instructions - l.lastInstr)
+		l.job.Add(batch.Instructions - l.lastInstr)
 		l.lastInstr = batch.Instructions
 	}
 	accepted := c.jobAcc[jobID]
 	for i, smp := range batch.Samples {
 		if l.samplesSeen+i >= accepted {
-			feed.OnSample(smp)
+			l.job.OnSample(smp)
 			c.jobAcc[jobID] = l.samplesSeen + i + 1
 		}
 	}
@@ -755,7 +756,7 @@ func (c *Coordinator) finish(j *service.Job, up ResultUpload) ResultResponse {
 			return ResultResponse{}
 		}
 		c.logEvent("fail", j, up.WorkerID)
-		if !c.srv.FailRemote(j, up.Error) {
+		if !c.srv.Fail(j, up.Error) {
 			c.mDupedUp.Add(1)
 			return ResultResponse{Duplicate: true}
 		}
@@ -765,7 +766,7 @@ func (c *Coordinator) finish(j *service.Job, up ResultUpload) ResultResponse {
 	// Results are honored from anyone — they are deterministic,
 	// verified, and content-addressed, so a late upload from an expired
 	// lease saves the requeued copy from re-simulating.
-	if !c.srv.CompleteRemote(j, *up.Result) {
+	if !c.srv.Complete(j, *up.Result) {
 		c.releaseUploader(j, up.WorkerID, holder, hedgeHolder)
 		c.mDupedUp.Add(1)
 		return ResultResponse{Duplicate: true}

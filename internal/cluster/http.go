@@ -116,7 +116,9 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 				w.WriteHeader(http.StatusNoContent)
 				return
 			}
-			c.assign(j, ws)
+			if !c.assign(j, ws) {
+				continue // finished while it waited for this poll
+			}
 			clusterJSON(w, http.StatusOK, PollResponse{JobID: j.ID(), Key: j.Key(), Spec: j.Spec()})
 			return
 		case j := <-c.hedgec:

@@ -27,7 +27,7 @@ func TestCoordinatorRestart(t *testing.T) {
 	// job, so when the coordinator dies the cluster holds one leased
 	// Running job, one job in the dispatcher's hand, and the rest
 	// queued. Nothing completes.
-	srv1, err := service.New(service.Config{StoreDir: "store", FS: mem, QueueCap: 64, Workers: 2, RemoteExec: true})
+	srv1, err := service.New(service.Config{StoreDir: "store", FS: mem, QueueCap: 64, Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestCoordinatorRestart(t *testing.T) {
 
 	// --- Incarnation 2 over the same disk: all four jobs re-admit
 	// (none became durable), under the same content-derived ids.
-	srv2, err := service.New(service.Config{StoreDir: "store", FS: mem, QueueCap: 64, Workers: 2, RemoteExec: true})
+	srv2, err := service.New(service.Config{StoreDir: "store", FS: mem, QueueCap: 64, Workers: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

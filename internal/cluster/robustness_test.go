@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/netfault"
 	"repro/internal/service"
+	"repro/internal/sim"
 )
 
 // TestBackoffSeededSchedule pins the retry policy: the schedule is a
@@ -432,4 +433,91 @@ func TestHealthDecayReadmission(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Error("decay never re-admitted the worker")
+}
+
+// TestWorkerStopUploadsInFlightJob pins graceful worker shutdown (what
+// triageworker does on SIGTERM): cancelling Run while a job is
+// mid-execution stops the polling but not the job — its upload still
+// reaches the coordinator, so the job is done by the time Run returns
+// instead of sitting in running until its lease lapses and
+// re-simulating elsewhere.
+func TestWorkerStopUploadsInFlightJob(t *testing.T) {
+	tc := startCluster(t, nil, nil)
+	defer tc.stop()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: tc.ts.URL, Name: "stopping", Slots: 1, PoolWorkers: 2,
+		ProgressEvery: 20 * time.Millisecond, PollRetry: 20 * time.Millisecond,
+		Gate: func(string) { close(entered); <-release },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		w.Run(ctx)
+	}()
+
+	j, _, err := tc.srv.Submit(tinySpec(8100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker never started the job")
+	}
+	cancel()
+	close(release)
+	select {
+	case <-runDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("stopped worker never returned from Run")
+	}
+	if n := w.JobsDone(); n != 1 {
+		t.Errorf("stopped worker uploaded %d jobs, want its in-flight one", n)
+	}
+	if st := tc.srv.Status(j); st.State != service.StateDone {
+		t.Errorf("job is %s after its worker stopped, want done", st.State)
+	}
+}
+
+// TestLateUploadBeforeRedispatch covers a requeued job that its first
+// worker's late upload completes while the job waits in the dispatcher
+// for a poll: the next assignment must not reopen it — the job stays
+// done and no worker is leased a finished job.
+func TestLateUploadBeforeRedispatch(t *testing.T) {
+	tc := startCluster(t, nil, func(c *Config) {
+		c.LeaseTTL = time.Hour
+		c.SweepEvery = time.Hour // manual sweeps only
+	})
+	defer tc.stop()
+	slow := tc.coord.register("slow", 1, "")
+	next := tc.coord.register("next", 1, "")
+
+	j, _, err := tc.srv.Submit(cloneSpec(tinySpec(9100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.coord.assign(recvJob(t, tc), slow)
+	tc.coord.mu.Lock()
+	tc.coord.leases[j.ID()].expires = time.Now().Add(-time.Second)
+	tc.coord.mu.Unlock()
+	tc.coord.sweep(time.Now())
+	redispatched := recvJob(t, tc)
+
+	if !tc.srv.Complete(redispatched, service.JobResult{Kind: service.KindSingle, Result: &sim.Result{}}) {
+		t.Fatal("the late upload did not complete the requeued job")
+	}
+	tc.coord.assign(redispatched, next)
+	if st := tc.srv.StateOf(j); st != service.StateDone {
+		t.Errorf("finished job reopened as %s by its re-dispatch", st)
+	}
+	if n := len(tc.coord.Status().Leases); n != 0 {
+		t.Errorf("%d leases after assigning a finished job, want 0", n)
+	}
 }

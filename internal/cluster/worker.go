@@ -20,7 +20,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/service"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -45,8 +44,8 @@ type WorkerConfig struct {
 	// Deadline and Stall arm the per-job watchdog, like the service's.
 	Deadline time.Duration
 	Stall    time.Duration
-	// Gate mirrors service.Config.Gate: called right before a job's
-	// simulation starts. Test hook; leave nil in production.
+	// Gate mirrors service.Config.Gate: called right before a job
+	// executes. Test hook; leave nil in production.
 	Gate func(key string)
 	// ProgressEvery paces progress/sample event batches to the
 	// coordinator. Default 250ms.
@@ -162,7 +161,8 @@ func (w *Worker) JobsDone() int64 { return w.jobsDone.Load() }
 func (w *Worker) Kill() { w.killed.Store(true) }
 
 // Run registers with the coordinator and serves jobs until ctx
-// cancels (graceful: in-flight jobs finish and upload) or Kill.
+// cancels (graceful: slots stop polling, and in-flight jobs finish and
+// upload) or Kill.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -347,8 +347,13 @@ func (w *Worker) slotLoop(ctx context.Context) {
 	}
 }
 
-// execute runs one assigned job and uploads its outcome.
+// execute runs one assigned job and uploads its outcome. The job's own
+// RPCs (trace fetches, event batches, the upload) ignore Run's
+// cancellation, so a stopped worker still delivers the job it holds;
+// they stay bounded by RPCTimeout and the upload's retry cap, and Kill
+// still silences them.
 func (w *Worker) execute(ctx context.Context, a PollResponse) {
+	ctx = context.WithoutCancel(ctx)
 	w.mu.Lock()
 	w.inflight[a.JobID] = true
 	w.mu.Unlock()
@@ -365,21 +370,17 @@ func (w *Worker) execute(ctx context.Context, a PollResponse) {
 	if gate := w.cfg.Gate; gate != nil {
 		gate(a.Key)
 	}
-
-	var env service.JobResult
-	var execErr string
-	switch a.Spec.Kind {
-	case service.KindFigure:
-		env = w.runFigure(ctx, a)
-	default:
-		env, execErr = w.runSingle(ctx, a)
-	}
+	poster := &eventPoster{w: w, jobID: a.JobID, stop: make(chan struct{}), done: make(chan struct{})}
+	go poster.run(ctx)
+	env, err := service.Execute(w.pool, a.Key, a.Spec, w.cfg.Deadline, w.cfg.Stall, poster)
+	close(poster.stop)
+	<-poster.done
 	if w.killed.Load() {
 		return
 	}
 	up := ResultUpload{WorkerID: w.workerID()}
-	if execErr != "" {
-		up.Error = execErr
+	if err != nil {
+		up.Error = err.Error()
 	} else {
 		up.Result = &env
 		up.Fingerprint = w.fp
@@ -416,7 +417,7 @@ func (w *Worker) upload(ctx context.Context, jobID string, up ResultUpload) {
 			}
 			return
 		}
-		if w.killed.Load() || ctx.Err() != nil {
+		if w.killed.Load() {
 			return
 		}
 		time.Sleep(w.retry.Delay(attempt))
@@ -424,10 +425,10 @@ func (w *Worker) upload(ctx context.Context, jobID string, up ResultUpload) {
 	w.logf("upload for %s abandoned after retries (lease expiry will requeue it)", jobID)
 }
 
-// eventPoster batches progress and samples to the coordinator on a
-// ticker, off the simulation's hot path: the sim feeds an atomic
-// counter and an in-memory sample buffer, and a flusher goroutine
-// does the HTTP.
+// eventPoster is a worker job's service.Sink: it batches progress and
+// samples to the coordinator on a ticker, off the simulation's hot
+// path — the sim feeds an atomic counter and an in-memory sample
+// buffer, and a flusher goroutine does the HTTP.
 type eventPoster struct {
 	w      *Worker
 	jobID  string
@@ -449,6 +450,10 @@ func (p *eventPoster) OnSample(s telemetry.Sample) {
 	p.buffer = append(p.buffer, s)
 	p.mu.Unlock()
 }
+
+// OnCancel does nothing: a watchdog abort reaches the coordinator as
+// the job's failed upload.
+func (p *eventPoster) OnCancel(string) {}
 
 func (p *eventPoster) flush(ctx context.Context) {
 	instr := p.instr.Load()
@@ -479,88 +484,6 @@ func (p *eventPoster) run(ctx context.Context) {
 			p.flush(ctx)
 		}
 	}
-}
-
-func (w *Worker) newPoster(jobID string) *eventPoster {
-	return &eventPoster{w: w, jobID: jobID, stop: make(chan struct{}), done: make(chan struct{})}
-}
-
-// runSingle executes one RunSpec, mirroring the service's local path
-// (same Guarded watchdog wrapper, same sampler wiring, same envelope
-// construction) so the uploaded result re-encodes byte-identically to
-// a single-node run.
-func (w *Worker) runSingle(ctx context.Context, a PollResponse) (service.JobResult, string) {
-	spec := *a.Spec.Run
-	poster := w.newPoster(a.JobID)
-	go poster.run(ctx)
-	var hooks *telemetry.Hooks
-	mkHooks := func() *telemetry.Hooks {
-		h := &telemetry.Hooks{Progress: poster}
-		if spec.SampleEvery > 0 {
-			sam := telemetry.NewSampler(spec.SampleEvery)
-			sam.Stream(poster.OnSample)
-			h.Sampler = sam
-		}
-		hooks = h
-		return h
-	}
-	fut := experiments.Go(w.pool, func() sim.Result {
-		return experiments.Guarded(a.Key, w.cfg.Deadline, w.cfg.Stall, mkHooks, func(h *telemetry.Hooks) sim.Result {
-			res, err := spec.Run(h)
-			if err != nil {
-				panic(err)
-			}
-			return res
-		})
-	})
-	res, rerr := fut.Result()
-	close(poster.stop)
-	<-poster.done
-	if rerr != nil {
-		return service.JobResult{}, rerr.Error()
-	}
-	var samples []byte
-	if hooks != nil && hooks.Sampler != nil {
-		var buf bytes.Buffer
-		if err := hooks.Sampler.WriteJSONL(&buf); err == nil {
-			samples = buf.Bytes()
-		}
-	}
-	return service.JobResult{Kind: service.KindSingle, Result: &res, SamplesJSONL: string(samples)}, ""
-}
-
-// runFigure executes one registry experiment on the worker's pool. A
-// failed table still uploads as a result — the coordinator completes
-// the job without storing it, same as the local path.
-func (w *Worker) runFigure(ctx context.Context, a PollResponse) service.JobResult {
-	e, _ := experiments.ByID(a.Spec.Figure)
-	p := a.Spec.Scale.Params()
-	p.Deadline, p.StallTimeout = w.cfg.Deadline, w.cfg.Stall
-	runner := experiments.NewRunnerPool(p, w.pool)
-	poster := w.newPoster(a.JobID)
-	go poster.run(ctx)
-	progressStop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(w.cfg.ProgressEvery)
-		defer t.Stop()
-		var last uint64
-		for {
-			select {
-			case <-progressStop:
-				return
-			case <-t.C:
-				if n := runner.SimulatedInstructions(); n > last {
-					poster.Add(n - last)
-					last = n
-				}
-			}
-		}
-	}()
-	table := experiments.RunOne(runner, e)
-	close(progressStop)
-	close(poster.stop)
-	<-poster.done
-	return service.JobResult{Kind: service.KindFigure, Table: table}
 }
 
 // ensureTraces fetches, by content hash, every corpus trace the spec

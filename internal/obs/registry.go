@@ -111,7 +111,8 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // CounterFunc registers a counter whose value is computed at scrape
-// time (bridging counters owned elsewhere, e.g. expvar ints).
+// time (bridging counters owned elsewhere, e.g. the cluster
+// coordinator's atomics).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: kindCounter, fn: fn})
 }

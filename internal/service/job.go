@@ -69,11 +69,6 @@ type FigureScale struct {
 	SampleEvery  uint64 `json:"sample_every,omitempty"`
 }
 
-// Params resolves the scale against the quick defaults for callers
-// outside the package (the cluster worker runs figure jobs with the
-// exact parameters the coordinator's local path would have used).
-func (fs *FigureScale) Params() experiments.Params { return fs.params() }
-
 // params resolves the scale against the quick defaults, the same way
 // cmd/experiments resolves its override flags. Safe on a nil receiver.
 func (fs *FigureScale) params() experiments.Params {
@@ -162,20 +157,41 @@ type Job struct {
 	failedTable bool
 	result      []byte // marshaled JobResult envelope, set when done
 
-	feed   *telemetry.JobFeed
-	runner *experiments.Runner // figure jobs: instruction-count source
+	feed *telemetry.JobFeed
 
 	// trace is the job's span record (admit → queue-wait → run →
-	// store-put → result-served), held by the server's flight recorder.
-	// queueSpan is opened at admission and closed by the worker;
-	// admittedNS stamps admission for the latency histograms;
-	// servedOnce marks the result-served span exactly once.
+	// measure-start → store-put → result-served), held by the server's
+	// flight recorder. queueSpan is opened at admission and closed by
+	// Begin, which opens runSpan; admittedNS and begunNS stamp admission
+	// and run start for the latency histograms; measured and servedOnce
+	// mark measure-start and result-served exactly once.
 	trace      *obs.Trace
 	queueSpan  obs.SpanRef
-	remoteSpan obs.SpanRef // run span of a remotely-executing job
+	runSpan    obs.SpanRef
 	admittedNS int64
+	begunNS    int64
+	measured   sync.Once
 	servedOnce sync.Once
 }
+
+// Add, OnSample and OnCancel make a job the Sink of its own execution:
+// an in-process run streams into it directly, and the cluster
+// coordinator relays a worker's event batches into it. Progress and
+// samples land in the feed; the first sample (the simulator samples
+// only inside the measurement window) marks measure-start, and a
+// watchdog abort lands on the run span with its reason.
+func (j *Job) Add(n uint64) { j.feed.Add(n) }
+
+// OnSample records one interval sample; see Add.
+func (j *Job) OnSample(smp telemetry.Sample) {
+	if j.trace != nil {
+		j.measured.Do(func() { j.trace.Mark("measure-start", nil) })
+	}
+	j.feed.OnSample(smp)
+}
+
+// OnCancel annotates the run span with a watchdog abort; see Add.
+func (j *Job) OnCancel(reason string) { j.runSpan.Annotate("cancelled", reason) }
 
 // ID returns the job's content-addressed id (stable across restarts
 // and re-submissions of the same spec).

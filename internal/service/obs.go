@@ -2,9 +2,7 @@ package service
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,37 +37,33 @@ type serverObs struct {
 	degradedNS    atomic.Int64
 }
 
-// newServerObs builds the registry for one server. Counter metrics
-// bridge the existing expvar ints (one source of truth, two render
-// paths); gauges read the live queue/pool state at scrape time.
+// newServerObs builds the registry for one server and registers the
+// server's counters in it (the one store both /metrics renderings
+// read); gauges read the live queue/pool state at scrape time.
 func newServerObs(s *Server) *serverObs {
 	o := &serverObs{reg: obs.NewRegistry(), rec: obs.NewRecorder(s.cfg.TraceCap)}
 	r := o.reg
-	cv := func(name, help string, v *expvar.Int) {
-		r.CounterFunc(name, help, func() float64 { return float64(v.Value()) })
-	}
-	cv("triaged_submitted_total", "fresh jobs admitted", &s.mSubmitted)
-	cv("triaged_deduped_total", "submissions joined onto an in-flight job", &s.mDeduped)
-	cv("triaged_store_hits_total", "submissions served from the warm result store", &s.mStoreHits)
-	cv("triaged_rejected_full_total", "submissions rejected with 429 (queue full)", &s.mRejectedFull)
-	cv("triaged_rejected_draining_total", "submissions rejected during drain", &s.mRejectedDrng)
-	cv("triaged_rejected_degraded_total", "submissions rejected while degraded", &s.mRejectedDegr)
-	cv("triaged_completed_total", "jobs finished successfully", &s.mCompleted)
-	cv("triaged_failed_total", "jobs finished in failure", &s.mFailed)
-	cv("triaged_restored_total", "queued jobs re-admitted at startup", &s.mRestored)
-	cv("triaged_store_errors_total", "store/admission-log write or sync failures", &s.mStoreErrors)
-	cv("triaged_degraded_entered_total", "transitions into degraded mode", &s.mDegradedIn)
-	cv("triaged_recovered_total", "recoveries out of degraded mode", &s.mRecovered)
+	s.mSubmitted = r.Counter("triaged_submitted_total", "fresh jobs admitted")
+	s.mDeduped = r.Counter("triaged_deduped_total", "submissions joined onto an in-flight job")
+	s.mStoreHits = r.Counter("triaged_store_hits_total", "submissions served from the warm result store")
+	s.mRejectedFull = r.Counter("triaged_rejected_full_total", "submissions rejected with 429 (queue full)")
+	s.mRejectedDrng = r.Counter("triaged_rejected_draining_total", "submissions rejected during drain")
+	s.mRejectedDegr = r.Counter("triaged_rejected_degraded_total", "submissions rejected while degraded")
+	s.mCompleted = r.Counter("triaged_completed_total", "jobs finished successfully")
+	s.mFailed = r.Counter("triaged_failed_total", "jobs finished in failure")
+	s.mRestored = r.Counter("triaged_restored_total", "queued jobs re-admitted at startup")
+	s.mStoreErrors = r.Counter("triaged_store_errors_total", "store/admission-log write or sync failures")
+	s.mDegradedIn = r.Counter("triaged_degraded_entered_total", "transitions into degraded mode")
+	s.mRecovered = r.Counter("triaged_recovered_total", "recoveries out of degraded mode")
+	s.mRunning = r.Gauge("triaged_inflight", "jobs currently running")
 	r.CounterFunc("triaged_degraded_seconds_total", "total wall-clock seconds spent degraded",
 		func() float64 { return o.degradedSeconds() })
 
 	r.GaugeFunc("triaged_queue_depth", "jobs queued, not yet running",
 		func() float64 { return float64(s.q.len()) })
-	r.GaugeFunc("triaged_inflight", "jobs currently running",
-		func() float64 { return float64(s.mRunning.Value()) })
 	r.GaugeFunc("triaged_queue_cap", "admission queue capacity",
 		func() float64 { return float64(s.cfg.QueueCap) })
-	r.GaugeFunc("triaged_workers", "worker pool size",
+	r.GaugeFunc("triaged_workers", "in-process job slots",
 		func() float64 { return float64(s.cfg.Workers) })
 	r.GaugeFunc("triaged_degraded", "1 while the server is read-only degraded",
 		func() float64 { return b2f(s.degraded.Load()) })
@@ -174,38 +168,3 @@ func (s *Server) FlightRecorder() *obs.Recorder { return s.obs.rec }
 // PoolProgress exposes the live pool counters (cmd/triaged wires them
 // into the -debughttp expvar page).
 func (s *Server) PoolProgress() *telemetry.PoolProgress { return s.prog }
-
-// publishOnce guards process-global expvar names: expvar.Publish
-// panics on duplicates, and tests construct many Servers per process.
-var publishOnce sync.Once
-
-// PublishExpvars publishes the server's counters under the "triaged."
-// namespace so a -debughttp listener's /debug/vars shows them
-// alongside the runtime's. First server wins; later calls are no-ops
-// (expvar names are process-global).
-func (s *Server) PublishExpvars() {
-	publishOnce.Do(func() {
-		for _, v := range []struct {
-			name string
-			v    *expvar.Int
-		}{
-			{"triaged.submitted", &s.mSubmitted},
-			{"triaged.deduped", &s.mDeduped},
-			{"triaged.store_hits", &s.mStoreHits},
-			{"triaged.rejected_full", &s.mRejectedFull},
-			{"triaged.rejected_draining", &s.mRejectedDrng},
-			{"triaged.rejected_degraded", &s.mRejectedDegr},
-			{"triaged.completed", &s.mCompleted},
-			{"triaged.failed", &s.mFailed},
-			{"triaged.running", &s.mRunning},
-			{"triaged.restored", &s.mRestored},
-			{"triaged.store_errors", &s.mStoreErrors},
-			{"triaged.degraded_entered", &s.mDegradedIn},
-			{"triaged.recovered", &s.mRecovered},
-		} {
-			expvar.Publish(v.name, v.v)
-		}
-		expvar.Publish("triaged.queue_depth", expvar.Func(func() any { return s.q.len() }))
-		expvar.Publish("triaged.degraded_seconds", expvar.Func(func() any { return s.obs.degradedSeconds() }))
-	})
-}

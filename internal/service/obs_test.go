@@ -99,7 +99,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 // TestTraceEndToEnd pins the span record of one completed job: the
 // submit response carries a trace id, the trace is fetchable by both
 // trace and job id, and its spans cover admission through result-
-// served in causal order with monotonic timestamps.
+// served in causal order with monotonic timestamps, the run span
+// naming the in-process worker.
 func TestTraceEndToEnd(t *testing.T) {
 	srv := newTestServer(t, nil)
 	ts := httptest.NewServer(srv.Handler())
@@ -137,6 +138,11 @@ func TestTraceEndToEnd(t *testing.T) {
 		}
 		if err := obs.ValidateTrace(d, "admit", "queue-wait", "run", "measure-start", "store-put", "done", "result-served"); err != nil {
 			t.Error(err)
+		}
+		for _, sp := range d.Spans {
+			if sp.Name == "run" && sp.Attrs["worker"] != "local" {
+				t.Errorf("run span worker = %q, want local", sp.Attrs["worker"])
+			}
 		}
 	}
 }

@@ -6,13 +6,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,17 +37,18 @@ type Config struct {
 	// submissions beyond it are rejected with ErrQueueFull (HTTP 429).
 	// Default 64.
 	QueueCap int
-	// Workers bounds how many simulations run concurrently (the shared
-	// experiments.Pool) and how many jobs execute at once. Default
-	// GOMAXPROCS.
+	// Workers is the number of in-process job slots, and the size of
+	// the shared simulation pool they run on. 0 means none: admitted
+	// jobs wait for an external dispatcher (the cluster coordinator,
+	// internal/cluster) to Take them.
 	Workers int
 	// Deadline and Stall arm a per-job watchdog (see experiments
 	// Params); zero disables.
 	Deadline time.Duration
 	Stall    time.Duration
-	// Gate, when non-nil, is called on the worker goroutine right
-	// before a job's simulation starts. Test hook for holding workers
-	// at a deterministic point — leave nil in production.
+	// Gate, when non-nil, is called on an in-process slot right after
+	// Begin, before the job executes. Test hook for holding slots at a
+	// deterministic point — leave nil in production.
 	Gate func(key string)
 	// FS is the filesystem the durable state (result store, admission
 	// log) is written through. Nil means the real filesystem; tests
@@ -75,12 +74,6 @@ type Config struct {
 	// timeline leading up to a store fault survives a crash. cmd/triaged
 	// points it at stderr; leave nil to disable.
 	TraceLog io.Writer
-	// RemoteExec disables the local worker goroutines: admitted jobs
-	// wait in the queue for an external dispatcher (the cluster
-	// coordinator, internal/cluster) to Take them and drive them
-	// through BeginRemote/CompleteRemote/FailRemote/Requeue.
-	// Admission, dedup, persistence, and the HTTP API are unchanged.
-	RemoteExec bool
 }
 
 // Submission errors mapped to HTTP status codes by the handlers.
@@ -116,7 +109,7 @@ const (
 	DispCached
 )
 
-// Server is the simulation service: admission queue, worker pool,
+// Server is the simulation service: admission queue, job slots,
 // content-addressed result store, and per-job telemetry fan-out.
 // Create with New, serve its Handler, stop with Drain then Close.
 type Server struct {
@@ -144,21 +137,21 @@ type Server struct {
 	wg       sync.WaitGroup
 	started  time.Time
 
-	// metrics are expvar counters (unpublished; cmd/triaged may
-	// additionally Publish the snapshot under a process-global name).
-	mSubmitted    expvar.Int
-	mDeduped      expvar.Int
-	mStoreHits    expvar.Int
-	mRejectedFull expvar.Int
-	mRejectedDrng expvar.Int
-	mRejectedDegr expvar.Int
-	mCompleted    expvar.Int
-	mFailed       expvar.Int
-	mRunning      expvar.Int
-	mRestored     expvar.Int // queued jobs re-admitted at startup
-	mStoreErrors  expvar.Int // store/admission-log write or sync failures
-	mDegradedIn   expvar.Int // transitions into degraded mode
-	mRecovered    expvar.Int // successful recoveries out of degraded mode
+	// The service counters live in the obs registry (newServerObs
+	// registers them); /metrics renders them as JSON and Prometheus.
+	mSubmitted    *obs.Counter
+	mDeduped      *obs.Counter
+	mStoreHits    *obs.Counter
+	mRejectedFull *obs.Counter
+	mRejectedDrng *obs.Counter
+	mRejectedDegr *obs.Counter
+	mCompleted    *obs.Counter
+	mFailed       *obs.Counter
+	mRunning      *obs.Gauge
+	mRestored     *obs.Counter // queued jobs re-admitted at startup
+	mStoreErrors  *obs.Counter // store/admission-log write or sync failures
+	mDegradedIn   *obs.Counter // transitions into degraded mode
+	mRecovered    *obs.Counter // successful recoveries out of degraded mode
 }
 
 // pendingResult is one completed job whose durable write failed: the
@@ -176,18 +169,15 @@ type pendingResult struct {
 
 // New opens (or creates) the store directory, re-admits any jobs that
 // were queued when the previous process stopped, and starts the
-// workers. The store is stamped with the configuration fingerprint
-// (Table 1 machine + workload suite); a directory written under
-// different parameters is refused.
+// in-process slots. The store is stamped with the configuration
+// fingerprint (Table 1 machine + workload suite); a directory written
+// under different parameters is refused.
 func New(cfg Config) (*Server, error) {
 	if cfg.StoreDir == "" {
 		return nil, errors.New("service: Config.StoreDir is required")
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
-	}
-	if cfg.Workers < 1 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.FS == nil {
 		cfg.FS = vfs.OS{}
@@ -227,11 +217,9 @@ func New(cfg Config) (*Server, error) {
 		store.Close()
 		return nil, err
 	}
-	if !cfg.RemoteExec {
-		for i := 0; i < cfg.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
+	for i := 0; i < cfg.Workers; i++ {
+		s.wg.Add(1)
+		go s.worker()
 	}
 	go s.probeLoop()
 	return s, nil
@@ -406,20 +394,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, Disposition, error) {
 // jobFromStore materializes a done job from the warm result store.
 // Called with s.mu held.
 func (s *Server) jobFromStore(key string, spec JobSpec) (*Job, bool) {
-	var payload []byte
-	switch spec.Kind {
-	case KindFigure:
-		blob, ok := s.store.GetBlob(key)
-		if !ok {
-			return nil, false
-		}
-		payload = blob
-	default:
-		res, samples, ok := s.store.Get(key)
-		if !ok {
-			return nil, false
-		}
-		payload = marshalEnvelope(JobResult{Kind: KindSingle, Result: &res, SamplesJSONL: string(samples)})
+	payload, ok := s.storedPayload(key, spec.Kind)
+	if !ok {
+		return nil, false
 	}
 	s.seq++
 	j := &Job{
@@ -434,6 +411,22 @@ func (s *Server) jobFromStore(key string, spec JobSpec) (*Job, bool) {
 	}
 	j.feed.Finish()
 	return j, true
+}
+
+// storedPayload reads a key's durable result as the envelope clients
+// are served. Called with s.mu held.
+func (s *Server) storedPayload(key, kind string) ([]byte, bool) {
+	if s.store == nil {
+		return nil, false
+	}
+	if kind == KindFigure {
+		return s.store.GetBlob(key)
+	}
+	res, samples, ok := s.store.Get(key)
+	if !ok {
+		return nil, false
+	}
+	return marshalEnvelope(JobResult{Kind: KindSingle, Result: &res, SamplesJSONL: string(samples)}), true
 }
 
 // marshalEnvelope encodes a result envelope; the payload is plain
@@ -462,23 +455,18 @@ func (s *Server) Status(j *Job) JobStatus {
 }
 
 func (s *Server) statusLocked(j *Job) JobStatus {
-	st := JobStatus{
-		ID:       j.id,
-		Key:      j.key,
-		Kind:     j.spec.Kind,
-		State:    j.state,
-		Priority: j.spec.Priority,
-		Cached:   j.cached,
-		Error:    j.errMsg,
-		Failed:   j.failedTable,
-		Trace:    j.TraceID(),
+	return JobStatus{
+		ID:           j.id,
+		Key:          j.key,
+		Kind:         j.spec.Kind,
+		State:        j.state,
+		Priority:     j.spec.Priority,
+		Cached:       j.cached,
+		Instructions: j.feed.Instructions(),
+		Error:        j.errMsg,
+		Failed:       j.failedTable,
+		Trace:        j.TraceID(),
 	}
-	if j.runner != nil {
-		st.Instructions = j.runner.SimulatedInstructions()
-	} else {
-		st.Instructions = j.feed.Instructions()
-	}
-	return st
 }
 
 // Jobs lists every known job in admission order.
@@ -507,135 +495,26 @@ func (s *Server) Result(j *Job) ([]byte, bool) {
 	return j.result, true
 }
 
-// worker executes jobs until the queue closes (drain).
+// worker is one in-process job slot. It drives jobs through the same
+// lifecycle the cluster coordinator drives for remote workers — Take,
+// Begin, Execute, then Complete or Fail — until the queue closes
+// (drain).
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for {
-		j := s.q.pop()
-		if j == nil {
-			return
+	for j := s.Take(); j != nil; j = s.Take() {
+		if !s.Begin(j, "local") {
+			continue
 		}
-		s.runJob(j)
-	}
-}
-
-func (s *Server) setState(j *Job, st State) {
-	s.mu.Lock()
-	j.state = st
-	s.mu.Unlock()
-}
-
-func (s *Server) runJob(j *Job) {
-	s.setState(j, StateRunning)
-	s.mRunning.Add(1)
-	defer s.mRunning.Add(-1)
-	s.obs.gInflightHWM.SetMax(s.mRunning.Value())
-	j.queueSpan.End()
-	if j.admittedNS > 0 {
-		s.obs.hQueueWait.Observe(uint64(time.Now().UnixNano() - j.admittedNS))
-	}
-	if gate := s.cfg.Gate; gate != nil {
-		gate(j.key)
-	}
-	var runSpan obs.SpanRef
-	if j.trace != nil {
-		runSpan = j.trace.Start("run")
-		runSpan.Annotate("kind", j.spec.Kind)
-	}
-	switch j.spec.Kind {
-	case KindFigure:
-		s.runFigure(j, runSpan)
-	default:
-		s.runSingle(j, runSpan)
-	}
-}
-
-// runSingle executes one RunSpec on the shared pool under the
-// configured watchdog, streams progress and samples to the job's
-// feed, and persists the result in the content-addressed store. The
-// run span records the warmup→measure boundary (the sampler's first
-// streamed sample, which the simulator emits only inside the
-// measurement window) and any watchdog cancellation.
-func (s *Server) runSingle(j *Job, runSpan obs.SpanRef) {
-	spec := *j.spec.Run
-	var hooks *telemetry.Hooks
-	mkHooks := func() *telemetry.Hooks {
-		h := &telemetry.Hooks{Progress: telemetry.Tee(j.feed, s.prog)}
-		if spec.SampleEvery > 0 {
-			sam := telemetry.NewSampler(spec.SampleEvery)
-			if tr := j.trace; tr != nil {
-				var measured sync.Once
-				sam.Stream(func(smp telemetry.Sample) {
-					measured.Do(func() { tr.Mark("measure-start", nil) })
-					j.feed.OnSample(smp)
-				})
-			} else {
-				sam.Stream(j.feed.OnSample)
-			}
-			h.Sampler = sam
+		if gate := s.cfg.Gate; gate != nil {
+			gate(j.key)
 		}
-		if s.cfg.Deadline > 0 || s.cfg.Stall > 0 {
-			// Pre-attach the watch (Guarded reuses it) so a watchdog
-			// abort lands on the run span with its reason.
-			w := telemetry.NewRunWatch()
-			w.NotifyCancel(func(reason string) { runSpan.Annotate("cancelled", reason) })
-			h.Watch = w
-		}
-		hooks = h
-		return h
-	}
-	runStart := time.Now()
-	fut := experiments.Go(s.pool, func() sim.Result {
-		return experiments.Guarded(j.key, s.cfg.Deadline, s.cfg.Stall, mkHooks, func(h *telemetry.Hooks) sim.Result {
-			res, err := spec.Run(h)
-			if err != nil {
-				panic(err)
-			}
-			s.prog.RunDone()
-			return res
-		})
-	})
-	res, rerr := fut.Result()
-	s.obs.hRun.Observe(uint64(time.Since(runStart)))
-	runSpan.End()
-	if rerr != nil {
-		s.fail(j, rerr.Error())
-		return
-	}
-	var samples []byte
-	if hooks != nil && hooks.Sampler != nil {
-		var buf bytes.Buffer
-		if err := hooks.Sampler.WriteJSONL(&buf); err == nil {
-			samples = buf.Bytes()
+		env, err := Execute(s.pool, j.key, j.spec, s.cfg.Deadline, s.cfg.Stall, j)
+		if err != nil {
+			s.Fail(j, err.Error())
+		} else {
+			s.Complete(j, env)
 		}
 	}
-	s.persistTraced(j, pendingResult{key: j.key, res: res, samples: samples})
-	s.complete(j, marshalEnvelope(JobResult{Kind: KindSingle, Result: &res, SamplesJSONL: string(samples)}), false)
-}
-
-// runFigure executes one registry experiment with a fresh Runner on
-// the shared pool. A failed table (error rows) completes the job but
-// is never stored: a transient failure must not be served forever.
-func (s *Server) runFigure(j *Job, runSpan obs.SpanRef) {
-	e, _ := experiments.ByID(j.spec.Figure)
-	p := j.spec.Scale.params()
-	p.Deadline, p.StallTimeout = s.cfg.Deadline, s.cfg.Stall
-	runner := experiments.NewRunnerPool(p, s.pool)
-	s.mu.Lock()
-	j.runner = runner
-	s.mu.Unlock()
-	runStart := time.Now()
-	table := experiments.RunOne(runner, e)
-	s.obs.hRun.Observe(uint64(time.Since(runStart)))
-	if table.Failed {
-		runSpan.Annotate("failed_table", "true")
-	}
-	runSpan.End()
-	payload := marshalEnvelope(JobResult{Kind: KindFigure, Table: table})
-	if !table.Failed {
-		s.persistTraced(j, pendingResult{key: j.key, isBlob: true, blob: payload})
-	}
-	s.complete(j, payload, table.Failed)
 }
 
 // persistTraced wraps persist in the job's store-put span and latency
@@ -779,8 +658,8 @@ func (s *Server) tryRecover() {
 	}
 }
 
-// complete and fail count the job and mark its trace before they
-// publish the terminal state: a client that sees the job done must
+// complete counts the job and marks its trace before it publishes the
+// terminal state (as Fail does): a client that sees the job done must
 // also see it in /metrics, and its result-served span must follow the
 // done mark.
 func (s *Server) complete(j *Job, payload []byte, failedTable bool) {
@@ -799,21 +678,6 @@ func (s *Server) complete(j *Job, payload []byte, failedTable bool) {
 	j.feed.Finish()
 }
 
-func (s *Server) fail(j *Job, msg string) {
-	s.mFailed.Add(1)
-	if j.admittedNS > 0 {
-		s.obs.hSubmitToResult.Observe(uint64(time.Now().UnixNano() - j.admittedNS))
-	}
-	if j.trace != nil {
-		j.trace.Mark("failed", map[string]string{"error": msg})
-	}
-	s.mu.Lock()
-	j.state = StateFailed
-	j.errMsg = msg
-	s.mu.Unlock()
-	j.feed.Finish()
-}
-
 // DrainStats reports what a drain left behind.
 type DrainStats struct {
 	// Finished is how many jobs completed or failed over the server's
@@ -827,7 +691,8 @@ type DrainStats struct {
 // Drain stops the server gracefully: new submissions are rejected
 // with ErrDraining, in-flight jobs run to completion (and their
 // results persist), and still-queued jobs are left in the admission
-// log for the next process. Blocks until every worker has stopped.
+// log for the next process. Blocks until every in-process slot has
+// stopped.
 func (s *Server) Drain() DrainStats {
 	s.draining.Store(true)
 	s.q.close()

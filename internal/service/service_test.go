@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -330,6 +331,7 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 // TestFailedJobNotCachedOrStored aborts a job via a tiny deadline and
 // verifies the failure is reported (409), never stored, and that a
 // resubmission is admitted fresh rather than deduped onto the corpse.
+// The abort lands on the job's run span with the watchdog's reason.
 func TestFailedJobNotCachedOrStored(t *testing.T) {
 	srv := newTestServer(t, func(c *Config) {
 		c.Deadline = 15 * time.Millisecond
@@ -355,6 +357,19 @@ func TestFailedJobNotCachedOrStored(t *testing.T) {
 	}
 	if srv.store.Has("single/" + big.Run.Key()) {
 		t.Error("failed result was persisted to the store")
+	}
+	tr, ok := srv.FlightRecorder().Get(sr.ID)
+	if !ok {
+		t.Fatal("failed job's trace is not in the flight recorder")
+	}
+	cancelled := ""
+	for _, sp := range tr.Dump().Spans {
+		if sp.Name == "run" {
+			cancelled = sp.Attrs["cancelled"]
+		}
+	}
+	if !strings.Contains(cancelled, "deadline") {
+		t.Errorf("run span cancelled = %q, want the watchdog's deadline reason", cancelled)
 	}
 	// Resubmission after failure must not dedup onto the failed job.
 	resp2, sr2 := postJob(t, ts, big)

@@ -222,8 +222,21 @@ grep -q ' run .*"worker":' "$smokedir/clus-trace.txt"
 grep -q 'result-served' "$smokedir/clus-trace.txt"
 "$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/clus-metrics.prom"
 grep -q '^triaged_cluster_results_total [1-9]' "$smokedir/clus-metrics.prom"
+# Worker SIGTERM smoke: the survivor is stopped while it holds the
+# lease of a job that runs for seconds. It must finish and upload that
+# job, then exit 0: the job already reads done once the worker is gone,
+# and nothing was requeued.
+requeued=$("$smokedir/triagectl" -addr "$addr" status | sed -n 's/.*requeued: \([0-9]*\).*/\1/p')
+jobid=$("$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
+    -warmup 100000 -measure 30000000)
+for _ in $(seq 1 100); do
+    "$smokedir/triagectl" -addr "$addr" status "$jobid" | grep -q '"state": "running"' && break
+    sleep 0.1
+done
 kill -TERM "$worker_a"
 wait "$worker_a"
+"$smokedir/triagectl" -addr "$addr" status "$jobid" | grep -q '"state": "done"'
+"$smokedir/triagectl" -addr "$addr" status | grep -q "requeued: $requeued "
 wait "$worker_b" 2>/dev/null || true
 kill -TERM "$triaged_pid"
 wait "$triaged_pid"
