@@ -123,6 +123,10 @@ func pfTriageDyn(m config.Machine) prefetch.Prefetcher {
 	return core.New(core.Config{Mode: core.Dynamic, LLCLatencyTicks: llcTicks(m)})
 }
 
+func pfTriageDynUtil(m config.Machine) prefetch.Prefetcher {
+	return core.New(core.Config{Mode: core.DynamicUtility, LLCLatencyTicks: llcTicks(m)})
+}
+
 func pfTriageUnlimited(m config.Machine) prefetch.Prefetcher {
 	return core.New(core.Config{Mode: core.Unlimited, LLCLatencyTicks: llcTicks(m)})
 }

@@ -8,19 +8,13 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
-	"repro/internal/prefetch/bo"
-	"repro/internal/prefetch/domino"
 	"repro/internal/prefetch/ghb"
 	"repro/internal/prefetch/hybrid"
 	"repro/internal/prefetch/isb"
 	"repro/internal/prefetch/markov"
-	"repro/internal/prefetch/misb"
 	"repro/internal/prefetch/nextline"
-	"repro/internal/prefetch/sms"
-	"repro/internal/prefetch/stms"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -151,7 +145,7 @@ func (s RunSpec) Validate() error {
 			return fmt.Errorf("unknown benchmark %q", s.Bench)
 		}
 	}
-	if _, err := BuildPrefetcher(s.PF, config.Default(1), 1); err != nil {
+	if _, err := prefetcherParts(s.PF); err != nil {
 		return err
 	}
 	if s.Measure == 0 {
@@ -280,74 +274,80 @@ func (s RunSpec) Run(hooks *telemetry.Hooks) (sim.Result, error) {
 	return machine.Run(), nil
 }
 
+// prefetcherTable names every prefetcher configuration a spec or a
+// command line can ask for, each with its constructor for one core of
+// a machine; none and stride-only build no prefetcher and map to nil.
+var prefetcherTable = map[string]pfFactory{
+	"none":             nil,
+	"stride-only":      nil,
+	"bo":               pfBO,
+	"sms":              pfSMS,
+	"stms":             pfSTMS,
+	"domino":           pfDomino,
+	"misb":             pfMISB,
+	"isb":              func(config.Machine) prefetch.Prefetcher { return isb.New() },
+	"markov":           func(config.Machine) prefetch.Prefetcher { return markov.New(1 << 20) },
+	"ghb":              func(config.Machine) prefetch.Prefetcher { return ghb.New(512) },
+	"nextline":         func(config.Machine) prefetch.Prefetcher { return nextline.New(1) },
+	"triage-512k":      pfTriageStatic(512 << 10),
+	"triage-1m":        pfTriageStatic(1 << 20),
+	"triage-dyn":       pfTriageDyn,
+	"triage-dynutil":   pfTriageDynUtil,
+	"triage-unlimited": pfTriageUnlimited,
+}
+
+// prefetcherParts resolves a prefetcher name to its table constructors
+// without calling any: one entry (nil for none and stride-only) for a
+// plain name, one per part for a '+'-joined hybrid, whose parts must
+// each build a prefetcher ("triage" in a hybrid means triage-dyn).
+func prefetcherParts(name string) ([]pfFactory, error) {
+	if !strings.Contains(name, "+") {
+		mk, ok := prefetcherTable[name]
+		if !ok {
+			return nil, fmt.Errorf("unknown prefetcher %q", name)
+		}
+		return []pfFactory{mk}, nil
+	}
+	var parts []pfFactory
+	for _, part := range strings.Split(name, "+") {
+		if part == "triage" {
+			part = "triage-dyn"
+		}
+		mk, ok := prefetcherTable[part]
+		if !ok {
+			return nil, fmt.Errorf("unknown prefetcher %q", part)
+		}
+		if mk == nil {
+			return nil, fmt.Errorf("cannot compose %q", part)
+		}
+		parts = append(parts, mk)
+	}
+	return parts, nil
+}
+
 // BuildPrefetcher constructs the named prefetcher configuration for one
-// core of machine m: none, stride-only, nextline, ghb, markov, bo, sms,
-// stms, domino, isb, misb, triage-512k, triage-1m, triage-dyn,
-// triage-dynutil, triage-unlimited, or a '+'-joined hybrid such as
-// triage+bo ("triage" in a hybrid means triage-dyn). Every caller that
-// names prefetchers on a command line or over the wire resolves them
-// here, so the names cannot drift between tools.
+// core of machine m: a name in prefetcherTable, or a '+'-joined hybrid
+// such as triage+bo ("triage" in a hybrid means triage-dyn). Every
+// caller that names prefetchers on a command line or over the wire
+// resolves them through prefetcherTable, so the names cannot drift
+// between tools.
 func BuildPrefetcher(name string, m config.Machine, degree int) (prefetch.Prefetcher, error) {
-	ticks := llcTicks(m)
-	mk := func(n string) (prefetch.Prefetcher, error) {
-		switch n {
-		case "none", "stride-only":
-			return nil, nil
-		case "bo":
-			return bo.New(), nil
-		case "sms":
-			return sms.New(), nil
-		case "stms":
-			return stms.New(), nil
-		case "domino":
-			return domino.New(), nil
-		case "misb":
-			return misb.New(), nil
-		case "isb":
-			return isb.New(), nil
-		case "markov":
-			return markov.New(1 << 20), nil
-		case "ghb":
-			return ghb.New(512), nil
-		case "nextline":
-			return nextline.New(1), nil
-		case "triage-512k":
-			return core.New(core.Config{Mode: core.Static, StaticBytes: 512 << 10, LLCLatencyTicks: ticks}), nil
-		case "triage-1m":
-			return core.New(core.Config{Mode: core.Static, StaticBytes: 1 << 20, LLCLatencyTicks: ticks}), nil
-		case "triage-dyn":
-			return core.New(core.Config{Mode: core.Dynamic, LLCLatencyTicks: ticks}), nil
-		case "triage-dynutil":
-			return core.New(core.Config{Mode: core.DynamicUtility, LLCLatencyTicks: ticks}), nil
-		case "triage-unlimited":
-			return core.New(core.Config{Mode: core.Unlimited, LLCLatencyTicks: ticks}), nil
-		default:
-			return nil, fmt.Errorf("unknown prefetcher %q", n)
-		}
-	}
-	if strings.Contains(name, "+") {
-		parts := strings.Split(name, "+")
-		var ps []prefetch.Prefetcher
-		for _, part := range parts {
-			if part == "triage" {
-				part = "triage-dyn"
-			}
-			p, err := mk(part)
-			if err != nil {
-				return nil, err
-			}
-			if p == nil {
-				return nil, fmt.Errorf("cannot compose %q", part)
-			}
-			ps = append(ps, p)
-		}
-		return hybrid.New(ps...), nil
-	}
-	p, err := mk(name)
+	parts, err := prefetcherParts(name)
 	if err != nil {
 		return nil, err
 	}
-	if p != nil && degree > 1 {
+	if len(parts) > 1 {
+		ps := make([]prefetch.Prefetcher, len(parts))
+		for i, mk := range parts {
+			ps[i] = mk(m)
+		}
+		return hybrid.New(ps...), nil
+	}
+	if parts[0] == nil {
+		return nil, nil
+	}
+	p := parts[0](m)
+	if degree > 1 {
 		if ds, ok := p.(prefetch.DegreeSetter); ok {
 			ds.SetDegree(degree)
 		}

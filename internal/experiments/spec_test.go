@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"sort"
 	"testing"
 
 	"repro/internal/config"
@@ -108,6 +111,52 @@ func TestRunSpecValidate(t *testing.T) {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v validated", bad)
 		}
+	}
+}
+
+// TestValidateAgreesWithBuildPrefetcher checks that Validate, which
+// resolves a prefetcher name without building it, accepts and rejects
+// exactly the names BuildPrefetcher does, with the same error: every
+// name in the table, the triage alias (valid only inside a hybrid),
+// every two-part hybrid of these, and malformed names.
+func TestValidateAgreesWithBuildPrefetcher(t *testing.T) {
+	names := []string{"triage"}
+	for n := range prefetcherTable {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	cases := append([]string{"", "foo", "bo+", "triage+none"}, names...)
+	for _, a := range names {
+		for _, b := range names {
+			cases = append(cases, a+"+"+b)
+		}
+	}
+	m := config.Default(1)
+	for _, name := range cases {
+		spec := RunSpec{Bench: "mcf", PF: name, Cores: 1, Measure: 1, Degree: 1}
+		_, buildErr := BuildPrefetcher(name, m, 1)
+		if err := spec.Validate(); fmt.Sprint(err) != fmt.Sprint(buildErr) {
+			t.Errorf("pf %q: Validate says %v, BuildPrefetcher says %v", name, err, buildErr)
+		}
+	}
+}
+
+// TestValidateDoesNotBuildPrefetcher pins that Validate checks the
+// prefetcher name without constructing the prefetcher, whose metadata
+// store is 8 MB for triage-1m.
+func TestValidateDoesNotBuildPrefetcher(t *testing.T) {
+	spec := RunSpec{Bench: "mcf", PF: "triage-1m", Cores: 1, Warmup: 1, Measure: 1, Degree: 1}
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 1<<20 {
+		t.Errorf("Validate allocated %d bytes per call, want under 1 MB", per)
 	}
 }
 

@@ -86,7 +86,7 @@ func newServerObs(s *Server) *serverObs {
 	wc := sim.GlobalWarmCache()
 	r.CounterFunc("triaged_warm_restores_total", "runs that restored a warm snapshot instead of simulating warmup (process-wide)",
 		func() float64 { n, _, _ := wc.Stats(); return float64(n) })
-	r.CounterFunc("triaged_warm_misses_total", "warm-snapshot lookups that found none (process-wide)",
+	r.CounterFunc("triaged_warm_misses_total", "warm-snapshot lookups that did not restore: none held, or a key collision (process-wide)",
 		func() float64 { _, n, _ := wc.Stats(); return float64(n) })
 	r.CounterFunc("triaged_warm_stores_total", "warm snapshots stored (process-wide)",
 		func() float64 { _, _, n := wc.Stats(); return float64(n) })

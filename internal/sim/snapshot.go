@@ -55,11 +55,14 @@ type WarmCache struct {
 	stores uint64
 }
 
-// DefaultWarmCacheBytes bounds the default process-wide cache. A
-// snapshot costs roughly the machine's simulated state (a few to a few
-// tens of MB depending on the prefetcher), so this holds on the order
-// of a hundred warm states.
-const DefaultWarmCacheBytes = 2 << 30
+// DefaultWarmCacheBytes bounds the default process-wide cache. It is
+// sized from measured reuse, not from what fits: replaying the service
+// benchmark's job sequence, no restore needed an LRU stack distance
+// above 106 MiB, so this is the smallest power of two above that. A
+// larger budget keeps only snapshots that nothing restores, and their
+// bytes set the service's peak RSS (see EXPERIMENTS.md, "Warm-state
+// snapshot reuse").
+const DefaultWarmCacheBytes = 128 << 20
 
 var processWarmCache = NewWarmCache(DefaultWarmCacheBytes)
 
@@ -72,8 +75,9 @@ func NewWarmCache(budget int64) *WarmCache {
 	return &WarmCache{budget: budget, snaps: make(map[string]*warmSnapshot)}
 }
 
-// Stats reports cache activity: restores served, lookups that missed,
-// and snapshots stored.
+// Stats reports cache activity: runs that restored a snapshot, lookups
+// that did not (no snapshot held, or one that could not be used), and
+// snapshots stored.
 func (wc *WarmCache) Stats() (hits, misses, stores uint64) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
@@ -99,17 +103,30 @@ func (wc *WarmCache) Reset() {
 	wc.hits, wc.misses, wc.stores = 0, 0, 0
 }
 
+// get looks up key and refreshes its recency. It counts nothing: the
+// caller counts the outcome with countLookup once it knows whether the
+// snapshot could be used.
 func (wc *WarmCache) get(key string) *warmSnapshot {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	s := wc.snaps[key]
-	if s == nil {
-		wc.misses++
-		return nil
+	if s != nil {
+		wc.touch(key)
 	}
-	wc.hits++
-	wc.touch(key)
 	return s
+}
+
+// countLookup counts one lookup's outcome: a hit only when a run
+// actually restored the snapshot, a miss for everything else (no
+// snapshot, a signature mismatch, a failed copy).
+func (wc *WarmCache) countLookup(restored bool) {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if restored {
+		wc.hits++
+	} else {
+		wc.misses++
+	}
 }
 
 func (wc *WarmCache) put(key string, s *warmSnapshot) {
@@ -196,8 +213,10 @@ func (m *Machine) saveWarm() {
 
 // tryRestoreWarm restores a cached warm state for this machine's key.
 // It returns false (leaving the machine untouched) when no snapshot
-// exists, the signature disagrees, or the copy fails.
-func (m *Machine) tryRestoreWarm() bool {
+// exists, the signature disagrees, or the copy fails. Either way it
+// counts the outcome in the process cache's stats.
+func (m *Machine) tryRestoreWarm() (ok bool) {
+	defer func() { processWarmCache.countLookup(ok) }()
 	snap := processWarmCache.get(m.opts.WarmKey)
 	if snap == nil || snap.sig != m.warmSignature() || len(snap.cores) != len(m.cores) {
 		return false
@@ -301,12 +320,14 @@ func newCopier() *copier {
 // errSnapshotTooLarge aborts an over-budget save mid-copy.
 var errSnapshotTooLarge = errors.New("sim: warm snapshot exceeds size cap")
 
-// maxSnapshotBytes caps one saved snapshot at 1/16 of the default
-// cache budget (128MB). Single-core machines are a few dozen MB and
-// always fit; what this excludes is the many-core machines with
-// hundred-MB prefetcher metadata (e.g. 16-core MISB), whose deep copy
-// and GC pressure cost more than a cold warmup does.
-const maxSnapshotBytes = DefaultWarmCacheBytes / 16
+// maxSnapshotBytes caps one saved snapshot. It is set by the machines
+// it must admit, not as a fraction of the budget: the single-core
+// machines (1.6-9.4 MiB, Triage+BO the largest) and 4-core machines up
+// to Triage (MISB 23.0 MiB, Triage 37.3 MiB). It refuses 8-core Triage
+// (74.6 MiB) and 16-core MISB (92.1 MiB): either would evict most of
+// the cache, and its deep copy costs more than the cold warmup it might
+// save.
+const maxSnapshotBytes = 64 << 20
 
 // plainKind caches whether a type contains no Go pointers at any depth
 // (strings count as plain: they are immutable and safe to share), so

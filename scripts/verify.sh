@@ -108,6 +108,19 @@ jobid=$("$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
 "$smokedir/triagectl" -addr "$addr" trace "$jobid" >"$smokedir/trace.txt"
 grep -q 'admit' "$smokedir/trace.txt"
 grep -q 'result-served' "$smokedir/trace.txt"
+# Warm-restore smoke: a longer measurement window with the same warmup
+# and seed restores the first job's post-warmup snapshot in the live
+# process; its result must match a direct cold run byte for byte, and
+# the cache must hold no more than its 128 MiB budget.
+"$smokedir/triagesim" -bench mcf -pf triage-1m -warmup 100000 -measure 300000 \
+    -json "$smokedir/direct-restore.json" >/dev/null
+"$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
+    -warmup 100000 -measure 300000 -wait -o "$smokedir/api-restore.json"
+cmp "$smokedir/direct-restore.json" "$smokedir/api-restore.json"
+"$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/metrics-restore.prom"
+grep -q '^triaged_warm_restores_total 1$' "$smokedir/metrics-restore.prom"
+awk '$1 == "triaged_warm_held_bytes" { held = $2 + 0; found = 1 }
+    END { exit !(found && held > 0 && held <= 134217728) }' "$smokedir/metrics-restore.prom"
 kill -TERM "$triaged_pid"
 wait "$triaged_pid" # graceful drain must exit 0
 # Restart on the same store: the resubmission must be served from the
