@@ -407,8 +407,8 @@ func (c *client) clusterStatus() error {
 	if err := c.getJSON("/cluster/v1/status", &sv); err != nil {
 		return fmt.Errorf("cluster status (is triaged running with -cluster?): %w", err)
 	}
-	fmt.Printf("workers: %d    queued: %d  assigned: %d  requeued: %d  leases expired: %d  hedged: %d  uploads rejected: %d\n",
-		len(sv.Workers), sv.Queued, sv.Assigned, sv.Requeued, sv.Expired, sv.Hedged, sv.Rejected)
+	fmt.Printf("workers: %d    queued: %d  assigned: %d  requeued: %d  leases expired: %d  uploads rejected: %d\n",
+		len(sv.Workers), sv.Queued, sv.Assigned, sv.Requeued, sv.Expired, sv.Rejected)
 	for _, wv := range sv.Workers {
 		state := "live"
 		if !wv.Live {
@@ -429,12 +429,8 @@ func (c *client) clusterStatus() error {
 	}
 	fmt.Printf("leases: %d\n", len(sv.Leases))
 	for _, lv := range sv.Leases {
-		hedged := ""
-		if lv.Hedged {
-			hedged = "  (hedged)"
-		}
-		fmt.Printf("  %s on %-6s expires in %5dms  age %6dms  %s%s\n",
-			lv.JobID, lv.Worker, lv.ExpiresInMillis, lv.AgeMillis, lv.Key, hedged)
+		fmt.Printf("  %s on %-6s expires in %5dms  age %6dms  %s\n",
+			lv.JobID, lv.Worker, lv.ExpiresInMillis, lv.AgeMillis, lv.Key)
 	}
 	return nil
 }

@@ -17,10 +17,10 @@
 // The protocol assumes a hostile network and imperfect workers (see
 // internal/netfault for the fault model): uploads are verified against
 // the config fingerprint and a canonical payload hash before anything
-// is persisted, workers accumulate a decaying health score and are
-// quarantined out of dispatch when it crosses the threshold, and jobs
-// leased far past the fleet's p99 run estimate are hedged — dispatched
-// speculatively to a second worker, first result wins.
+// is persisted, and workers accumulate a decaying health score and are
+// quarantined out of dispatch when it crosses the threshold. A job runs
+// on a second worker only when its lease expired or its upload was
+// rejected; both requeue it through Server.Requeue.
 package cluster
 
 import (
@@ -44,7 +44,7 @@ import (
 
 // assignFile is the coordinator's assignment audit log, next to the
 // store's queue.jsonl. One JSON line per assign/complete/fail/
-// expire/requeue/reject/hedge event, written through the server's vfs
+// expire/requeue/reject event, written through the server's vfs
 // (so chaos tests exercise it under injected faults). Durability of
 // jobs does not depend on it — that is queue.jsonl's contract — but it
 // records which worker ran what, survives restarts, and is cheap to
@@ -84,17 +84,6 @@ type Config struct {
 	// HealthHalfLife is the fault-score decay half-life; it doubles as
 	// the re-admission clock for quarantined workers. Default 30s.
 	HealthHalfLife time.Duration
-	// HedgeFactor multiplies the fleet's p99 run estimate to get the
-	// lease age past which a job is speculatively re-dispatched.
-	// Default 3.
-	HedgeFactor float64
-	// HedgeMinAge floors the hedging threshold so small-sample p99
-	// estimates cannot trigger duplicate simulation of healthy jobs.
-	// Default 30s.
-	HedgeMinAge time.Duration
-	// HedgeMinSamples is how many completed runs the estimator needs
-	// before hedging arms. Default 5.
-	HedgeMinSamples int
 }
 
 // Coordinator dispatches the server's queue to registered workers.
@@ -106,16 +95,13 @@ type Coordinator struct {
 	mu        sync.Mutex
 	workers   map[string]*workerState
 	tokens    map[string]string // register idempotency token → worker id
-	leases    map[string]*lease // primary assignment, by job id
-	hedges    map[string]*lease // speculative second assignment, by job id
+	leases    map[string]*lease // current assignment, by job id
 	jobAcc    map[string]int    // samples accepted into each job's feed
 	gauges    map[string]bool   // per-worker gauge names already registered
 	assignLog vfs.File
 	workerSeq int
-	durations []time.Duration // recent completed-run durations (capped ring)
 
 	dispatch chan *service.Job
-	hedgec   chan *service.Job
 	stopOnce sync.Once
 	stopc    chan struct{}
 	wg       sync.WaitGroup
@@ -126,7 +112,6 @@ type Coordinator struct {
 	mResults     atomic.Int64
 	mDupedUp     atomic.Int64 // duplicate uploads (first result won)
 	mRejected    atomic.Int64 // uploads that failed verification
-	mHedged      atomic.Int64 // jobs speculatively re-dispatched
 	mQuarantines atomic.Int64 // quarantine entries (lifetime)
 	mLogErrors   atomic.Int64
 }
@@ -163,16 +148,13 @@ type lease struct {
 	// with the job's accepted count it dedups re-streamed samples
 	// after a requeue.
 	samplesSeen int
-	// hedged marks that a speculative second assignment has been
-	// offered for this job.
-	hedged bool
 }
 
 // New starts a coordinator over a server: the dispatcher pulls queued
 // jobs (Take completes any already durable cluster-wide), the sweeper
-// requeues expired leases and hedges stragglers, and cluster metrics
-// register on the server's registry. Call Stop (after draining the
-// server) to shut down.
+// requeues expired leases, and cluster metrics register on the
+// server's registry. Call Stop (after draining the server) to shut
+// down.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Server == nil {
 		return nil, fmt.Errorf("cluster: Config.Server is required")
@@ -192,15 +174,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HealthHalfLife <= 0 {
 		cfg.HealthHalfLife = 30 * time.Second
 	}
-	if cfg.HedgeFactor <= 0 {
-		cfg.HedgeFactor = 3
-	}
-	if cfg.HedgeMinAge <= 0 {
-		cfg.HedgeMinAge = 30 * time.Second
-	}
-	if cfg.HedgeMinSamples <= 0 {
-		cfg.HedgeMinSamples = 5
-	}
 	c := &Coordinator{
 		cfg:      cfg,
 		srv:      cfg.Server,
@@ -208,11 +181,9 @@ func New(cfg Config) (*Coordinator, error) {
 		workers:  make(map[string]*workerState),
 		tokens:   make(map[string]string),
 		leases:   make(map[string]*lease),
-		hedges:   make(map[string]*lease),
 		jobAcc:   make(map[string]int),
 		gauges:   make(map[string]bool),
 		dispatch: make(chan *service.Job),
-		hedgec:   make(chan *service.Job, 32),
 		stopc:    make(chan struct{}),
 	}
 	path := filepath.Join(cfg.Server.StoreDirPath(), assignFile)
@@ -278,14 +249,12 @@ func (c *Coordinator) sweepLoop() {
 	}
 }
 
-// sweep expires lapsed leases (requeueing their jobs in a
-// deterministic order: lease start time, then job id — never the
-// map's iteration order), drops lapsed hedges, promotes a live hedge
-// when its primary dies, and offers hedges for jobs leased far past
-// the fleet's p99 run estimate.
+// sweep expires lapsed leases, requeueing their jobs in a
+// deterministic order: lease start time, then job id — never the map's
+// iteration order.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
-	var lapsed, hedgeLapsed, promoted, offers []*lease
+	var lapsed []*lease
 	for id, l := range c.leases {
 		if !now.After(l.expires) {
 			continue
@@ -293,64 +262,19 @@ func (c *Coordinator) sweep(now time.Time) {
 		if ws := c.workers[l.worker]; ws != nil {
 			delete(ws.inflight, id)
 		}
-		if h := c.hedges[id]; h != nil && !now.After(h.expires) {
-			// The primary died but its hedge is alive: promote the hedge
-			// instead of requeueing — the job is already running.
-			delete(c.hedges, id)
-			h.hedged = true // a promoted job is not hedged again
-			c.leases[id] = h
-			promoted = append(promoted, l)
-			continue
-		}
 		lapsed = append(lapsed, l)
 		delete(c.leases, id)
-	}
-	for id, h := range c.hedges {
-		if _, live := c.leases[id]; live && !now.After(h.expires) {
-			continue
-		}
-		// The hedge lapsed (or its primary vanished with it above):
-		// drop it quietly — requeueing is the primary lease's job.
-		delete(c.hedges, id)
-		if ws := c.workers[h.worker]; ws != nil {
-			delete(ws.inflight, id)
-		}
-		if now.After(h.expires) {
-			hedgeLapsed = append(hedgeLapsed, h)
-		}
-	}
-	if thresh, ok := c.hedgeThresholdLocked(); ok {
-		for id, l := range c.leases {
-			if !l.hedged && c.hedges[id] == nil && now.Sub(l.started) > thresh {
-				l.hedged = true
-				offers = append(offers, l)
-			}
-		}
 	}
 	c.mu.Unlock()
 
 	// Simultaneous expiries requeue in a stable order regardless of Go
 	// map iteration: oldest lease first, job id as the tiebreak.
-	byStart := func(s []*lease) {
-		sort.Slice(s, func(i, k int) bool {
-			if !s[i].started.Equal(s[k].started) {
-				return s[i].started.Before(s[k].started)
-			}
-			return s[i].job.ID() < s[k].job.ID()
-		})
-	}
-	byStart(lapsed)
-	byStart(offers)
-
-	for _, l := range promoted {
-		c.logEvent("promote", l.job, l.worker)
-		if tr := l.job.Trace(); tr != nil {
-			tr.Mark("hedge-promoted", map[string]string{"expired_worker": l.worker})
+	sort.Slice(lapsed, func(i, k int) bool {
+		if !lapsed[i].started.Equal(lapsed[k].started) {
+			return lapsed[i].started.Before(lapsed[k].started)
 		}
-	}
-	for _, h := range hedgeLapsed {
-		c.logEvent("hedge-expire", h.job, h.worker)
-	}
+		return lapsed[i].job.ID() < lapsed[k].job.ID()
+	})
 	for _, l := range lapsed {
 		c.mExpired.Add(1)
 		c.penalize(l.worker, healthLeaseExpiry, now)
@@ -358,54 +282,8 @@ func (c *Coordinator) sweep(now time.Time) {
 			tr.Mark("lease-expired", map[string]string{"worker": l.worker})
 		}
 		c.logEvent("expire", l.job, l.worker)
-		if c.srv.Requeue(l.job, "lease expired on worker "+l.worker) {
-			c.mRequeued.Add(1)
-			c.logEvent("requeue", l.job, l.worker)
-		}
+		c.requeue(l.job, l.worker, "lease expired on worker "+l.worker)
 	}
-	for _, l := range offers {
-		select {
-		case c.hedgec <- l.job:
-			c.mHedged.Add(1)
-			c.logEvent("hedge", l.job, l.worker)
-			if tr := l.job.Trace(); tr != nil {
-				tr.Mark("hedge", map[string]string{"primary": l.worker})
-			}
-		default:
-			// Offer channel full; a later sweep re-offers.
-			c.mu.Lock()
-			l.hedged = false
-			c.mu.Unlock()
-		}
-	}
-}
-
-// hedgeThresholdLocked derives the straggler cutoff from recent run
-// durations: HedgeFactor × p99, floored at HedgeMinAge, armed only
-// once HedgeMinSamples runs have completed.
-func (c *Coordinator) hedgeThresholdLocked() (time.Duration, bool) {
-	if len(c.durations) < c.cfg.HedgeMinSamples {
-		return 0, false
-	}
-	sorted := make([]time.Duration, len(c.durations))
-	copy(sorted, c.durations)
-	sort.Slice(sorted, func(i, k int) bool { return sorted[i] < sorted[k] })
-	p99 := sorted[(len(sorted)-1)*99/100]
-	t := time.Duration(float64(p99) * c.cfg.HedgeFactor)
-	if t < c.cfg.HedgeMinAge {
-		t = c.cfg.HedgeMinAge
-	}
-	return t, true
-}
-
-// recordRunLocked feeds the p99 estimator (capped ring of the last 128
-// completed runs).
-func (c *Coordinator) recordRunLocked(d time.Duration) {
-	if len(c.durations) >= 128 {
-		copy(c.durations, c.durations[1:])
-		c.durations = c.durations[:len(c.durations)-1]
-	}
-	c.durations = append(c.durations, d)
 }
 
 // logEvent appends one assignment-log line (best effort: the audit
@@ -566,46 +444,8 @@ func (c *Coordinator) assign(j *service.Job, ws *workerState) bool {
 	return true
 }
 
-// assignHedge installs a speculative second lease for a job that is
-// already running on its primary worker. No Begin: the job's
-// service-side lifecycle is owned by the primary; the hedge exists
-// only in the coordinator's lease table, and first-result-wins makes
-// whichever copy finishes first the real one. Declines (returning
-// false) when the job finished meanwhile, the polling worker is the
-// primary holder, or another hedge is already in place.
-func (c *Coordinator) assignHedge(j *service.Job, ws *workerState) bool {
-	now := time.Now()
-	c.mu.Lock()
-	l := c.leases[j.ID()]
-	if l == nil || c.hedges[j.ID()] != nil {
-		c.mu.Unlock()
-		return false
-	}
-	if l.worker == ws.id {
-		// Re-offering the job to its own primary is useless; let a
-		// later sweep offer it to someone else.
-		l.hedged = false
-		c.mu.Unlock()
-		return false
-	}
-	c.hedges[j.ID()] = &lease{
-		job:     j,
-		worker:  ws.id,
-		started: now,
-		expires: now.Add(c.cfg.LeaseTTL),
-	}
-	ws.inflight[j.ID()] = true
-	c.mu.Unlock()
-	c.mAssigned.Add(1)
-	c.logEvent("hedge-assign", j, ws.id)
-	if tr := j.Trace(); tr != nil {
-		tr.Mark("hedge-assign", map[string]string{"worker": ws.id})
-	}
-	return true
-}
-
-// heartbeat renews the worker's leases (primary or hedge); returns job
-// ids it should abandon (done elsewhere, or requeued past it).
+// heartbeat renews the worker's leases; returns job ids it should
+// abandon (done elsewhere, or requeued past it).
 func (c *Coordinator) heartbeat(ws *workerState, jobs []string) (cancelled []string) {
 	now := time.Now()
 	c.mu.Lock()
@@ -622,17 +462,6 @@ func (c *Coordinator) heartbeat(ws *workerState, jobs []string) (cancelled []str
 			l.expires = now.Add(c.cfg.LeaseTTL)
 			continue
 		}
-		if h, ok := c.hedges[id]; ok && h.worker == ws.id {
-			st := c.srv.StateOf(h.job)
-			if st == service.StateDone || st == service.StateFailed {
-				delete(c.hedges, id)
-				delete(ws.inflight, id)
-				cancelled = append(cancelled, id)
-				continue
-			}
-			h.expires = now.Add(c.cfg.LeaseTTL)
-			continue
-		}
 		cancelled = append(cancelled, id)
 	}
 	return cancelled
@@ -640,8 +469,8 @@ func (c *Coordinator) heartbeat(ws *workerState, jobs []string) (cancelled []str
 
 // events folds a worker's progress batch into the job (its feed and
 // trace), the sink an in-process run streams into directly.
-// Progress is accepted only from the current primary lease holder (a
-// hedge's progress would double-count); batches dedup on their
+// Progress is accepted only from the current lease holder (an expired
+// holder's progress would double-count); batches dedup on their
 // sequence number, so a duplicate-delivered batch folds once, and
 // samples additionally dedup against what the feed already absorbed,
 // so a requeued job's re-streamed prefix does not double up for SSE
@@ -713,15 +542,13 @@ func (c *Coordinator) verifyUpload(j *service.Job, up ResultUpload) error {
 
 // finish disposes an uploaded result or error. Verification runs
 // before anything touches the store; a rejected upload requeues the
-// job (or promotes its hedge) and penalizes the worker. First verified
-// result wins; anything after is a duplicate and changes nothing.
+// job and penalizes the worker. First verified result wins; anything
+// after is a duplicate and changes nothing.
 func (c *Coordinator) finish(j *service.Job, up ResultUpload) ResultResponse {
 	now := time.Now()
-	id := j.ID()
 	c.mu.Lock()
-	l, h := c.leases[id], c.hedges[id]
+	l := c.leases[j.ID()]
 	holder := l != nil && l.worker == up.WorkerID
-	hedgeHolder := h != nil && h.worker == up.WorkerID
 	c.mu.Unlock()
 
 	if up.Error == "" {
@@ -732,29 +559,24 @@ func (c *Coordinator) finish(j *service.Job, up ResultUpload) ResultResponse {
 				tr.Mark("upload-rejected", map[string]string{"worker": up.WorkerID, "reason": err.Error()})
 			}
 			c.penalize(up.WorkerID, healthVerifyReject, now)
-			c.releaseUploader(j, up.WorkerID, holder, hedgeHolder)
+			c.releaseUploader(j, up.WorkerID, holder)
 			if holder {
-				c.failoverOrRequeue(j, up.WorkerID, "upload rejected: "+err.Error())
+				c.requeue(j, up.WorkerID, "upload rejected: "+err.Error())
 			}
 			return ResultResponse{Rejected: true, Reason: err.Error()}
 		}
 	}
 
 	if up.Error != "" {
-		// Execution errors are honored only from the primary lease
-		// holder: a late error from a worker whose lease expired (or a
-		// hedge copy) must not kill a job another worker is running.
-		c.releaseUploader(j, up.WorkerID, holder, hedgeHolder)
+		// Execution errors are honored only from the lease holder: a late
+		// error from a worker whose lease expired must not kill a job
+		// another worker is running.
+		c.releaseUploader(j, up.WorkerID, holder)
 		if !holder {
 			c.mDupedUp.Add(1)
 			return ResultResponse{Duplicate: true}
 		}
 		c.penalize(up.WorkerID, healthExecFailure, now)
-		if c.failoverOrRequeue(j, up.WorkerID, "") {
-			// A hedge copy is still running; let it race the error.
-			c.logEvent("fail-deferred", j, up.WorkerID)
-			return ResultResponse{}
-		}
 		c.logEvent("fail", j, up.WorkerID)
 		if !c.srv.Fail(j, up.Error) {
 			c.mDupedUp.Add(1)
@@ -767,75 +589,48 @@ func (c *Coordinator) finish(j *service.Job, up ResultUpload) ResultResponse {
 	// verified, and content-addressed, so a late upload from an expired
 	// lease saves the requeued copy from re-simulating.
 	if !c.srv.Complete(j, *up.Result) {
-		c.releaseUploader(j, up.WorkerID, holder, hedgeHolder)
+		c.releaseUploader(j, up.WorkerID, holder)
 		c.mDupedUp.Add(1)
 		return ResultResponse{Duplicate: true}
 	}
 	c.mResults.Add(1)
 	c.logEvent("complete", j, up.WorkerID)
+	// The job is done: clear its lease, whoever holds it; a holder that
+	// did not upload learns via heartbeat cancellation.
 	c.mu.Lock()
-	if holder && l != nil {
-		c.recordRunLocked(now.Sub(l.started))
-	} else if hedgeHolder && h != nil {
-		c.recordRunLocked(now.Sub(h.started))
-	}
-	// The job is done: clear both lease entries; the losing copy's
-	// worker learns via heartbeat cancellation.
-	for _, stale := range []*lease{l, h} {
-		if stale == nil {
-			continue
+	if cur := c.leases[j.ID()]; cur != nil {
+		if ws := c.workers[cur.worker]; ws != nil {
+			delete(ws.inflight, j.ID())
 		}
-		if ws := c.workers[stale.worker]; ws != nil {
-			delete(ws.inflight, id)
-		}
+		delete(c.leases, j.ID())
 	}
-	delete(c.leases, id)
-	delete(c.hedges, id)
-	delete(c.jobAcc, id)
+	delete(c.jobAcc, j.ID())
 	c.mu.Unlock()
 	return ResultResponse{}
 }
 
-// releaseUploader drops the uploading worker's lease entry (primary or
-// hedge) after a terminal upload, leaving any other copy's lease
-// intact.
-func (c *Coordinator) releaseUploader(j *service.Job, workerID string, holder, hedgeHolder bool) {
-	id := j.ID()
+// releaseUploader drops the uploading worker's in-flight entry after a
+// terminal upload, and its lease when it holds one; another worker's
+// lease stays intact.
+func (c *Coordinator) releaseUploader(j *service.Job, workerID string, holder bool) {
 	c.mu.Lock()
 	if holder {
-		delete(c.leases, id)
-	}
-	if hedgeHolder {
-		delete(c.hedges, id)
+		delete(c.leases, j.ID())
 	}
 	if ws := c.workers[workerID]; ws != nil {
-		delete(ws.inflight, id)
+		delete(ws.inflight, j.ID())
 	}
 	c.mu.Unlock()
 }
 
-// failoverOrRequeue handles a primary copy going bad (rejected upload
-// or execution error): if a live hedge exists it is promoted to
-// primary and the job keeps running (reports true); otherwise the job
-// requeues with the given reason when one is supplied (reports false).
-func (c *Coordinator) failoverOrRequeue(j *service.Job, badWorker, requeueReason string) bool {
-	id := j.ID()
-	c.mu.Lock()
-	h := c.hedges[id]
-	if h != nil && h.worker != badWorker {
-		delete(c.hedges, id)
-		h.hedged = true
-		c.leases[id] = h
-		c.mu.Unlock()
-		c.logEvent("promote", j, h.worker)
-		return true
-	}
-	c.mu.Unlock()
-	if requeueReason != "" && c.srv.Requeue(j, requeueReason) {
+// requeue returns a job whose copy went bad (lease expired, upload
+// rejected) to the queue, counting and logging it when the server took
+// it back.
+func (c *Coordinator) requeue(j *service.Job, worker, reason string) {
+	if c.srv.Requeue(j, reason) {
 		c.mRequeued.Add(1)
-		c.logEvent("requeue", j, badWorker)
+		c.logEvent("requeue", j, worker)
 	}
-	return false
 }
 
 // Status snapshots the cluster for triagectl.
@@ -850,7 +645,6 @@ func (c *Coordinator) Status() StatusView {
 		Assigned: c.mAssigned.Load(),
 		Requeued: c.mRequeued.Load(),
 		Expired:  c.mExpired.Load(),
-		Hedged:   c.mHedged.Load(),
 		Rejected: c.mRejected.Load(),
 	}
 	for _, ws := range c.workers {
@@ -874,7 +668,6 @@ func (c *Coordinator) Status() StatusView {
 			Worker:          l.worker,
 			ExpiresInMillis: l.expires.Sub(now).Milliseconds(),
 			AgeMillis:       now.Sub(l.started).Milliseconds(),
-			Hedged:          l.hedged,
 		})
 	}
 	sort.Slice(v.Leases, func(i, k int) bool { return v.Leases[i].JobID < v.Leases[k].JobID })
@@ -909,7 +702,7 @@ func (c *Coordinator) registerMetrics() {
 	})
 	r.CounterFunc("triaged_cluster_assigned_total", "jobs leased to workers",
 		func() float64 { return float64(c.mAssigned.Load()) })
-	r.CounterFunc("triaged_cluster_requeued_total", "jobs requeued after a lease expired",
+	r.CounterFunc("triaged_cluster_requeued_total", "jobs requeued after a lease expired or an upload was rejected",
 		func() float64 { return float64(c.mRequeued.Load()) })
 	r.CounterFunc("triaged_cluster_lease_expired_total", "leases lapsed without a heartbeat",
 		func() float64 { return float64(c.mExpired.Load()) })
@@ -919,8 +712,6 @@ func (c *Coordinator) registerMetrics() {
 		func() float64 { return float64(c.mDupedUp.Load()) })
 	r.CounterFunc("triaged_cluster_upload_rejected_total", "uploads that failed verification (nothing persisted)",
 		func() float64 { return float64(c.mRejected.Load()) })
-	r.CounterFunc("triaged_cluster_hedged_total", "jobs speculatively re-dispatched past the p99 run estimate",
-		func() float64 { return float64(c.mHedged.Load()) })
 	r.CounterFunc("triaged_cluster_quarantines_total", "times a worker crossed into quarantine",
 		func() float64 { return float64(c.mQuarantines.Load()) })
 	r.CounterFunc("triaged_cluster_assignlog_errors_total", "assignment-log write failures (audit only)",

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/service"
 )
 
 // maxUploadBytes bounds worker uploads. A figure table or a sampled
@@ -118,17 +117,6 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 			}
 			if !c.assign(j, ws) {
 				continue // finished while it waited for this poll
-			}
-			clusterJSON(w, http.StatusOK, PollResponse{JobID: j.ID(), Key: j.Key(), Spec: j.Spec()})
-			return
-		case j := <-c.hedgec:
-			// Speculative re-dispatch: skip offers that went stale (job
-			// finished) or that this worker already owns.
-			if st := c.srv.StateOf(j); st == service.StateDone || st == service.StateFailed {
-				continue
-			}
-			if !c.assignHedge(j, ws) {
-				continue
 			}
 			clusterJSON(w, http.StatusOK, PollResponse{JobID: j.ID(), Key: j.Key(), Spec: j.Spec()})
 			return

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -519,5 +520,64 @@ func TestLateUploadBeforeRedispatch(t *testing.T) {
 	}
 	if n := len(tc.coord.Status().Leases); n != 0 {
 		t.Errorf("%d leases after assigning a finished job, want 0", n)
+	}
+}
+
+// TestErrorUploadOnlyFromHolder covers the error-upload path: once a
+// job's lease expired and it was re-assigned, an execution error from
+// its first worker is a duplicate that leaves the job running, while
+// the same error from the current holder fails the job, penalizes that
+// worker, and leaves no lease or in-flight entry behind.
+func TestErrorUploadOnlyFromHolder(t *testing.T) {
+	tc := startCluster(t, nil, func(c *Config) {
+		c.LeaseTTL = time.Hour
+		c.SweepEvery = time.Hour // manual sweeps only
+	})
+	defer tc.stop()
+	slow := tc.coord.register("slow", 1, "")
+	next := tc.coord.register("next", 1, "")
+
+	j, _, err := tc.srv.Submit(cloneSpec(tinySpec(9200)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.coord.assign(recvJob(t, tc), slow)
+	tc.coord.mu.Lock()
+	tc.coord.leases[j.ID()].expires = time.Now().Add(-time.Second)
+	tc.coord.mu.Unlock()
+	tc.coord.sweep(time.Now())
+	if !tc.coord.assign(recvJob(t, tc), next) {
+		t.Fatal("the requeued job was not re-assigned")
+	}
+
+	if resp := tc.coord.finish(j, ResultUpload{WorkerID: slow.id, Error: "slow worker failed"}); !resp.Duplicate {
+		t.Errorf("error from the expired holder: %+v, want Duplicate", resp)
+	}
+	if st := tc.srv.StateOf(j); st != service.StateRunning {
+		t.Fatalf("error from the expired holder moved the job to %s, want running", st)
+	}
+
+	const msg = "next worker failed"
+	if resp := tc.coord.finish(j, ResultUpload{WorkerID: next.id, Error: msg}); resp.Duplicate || resp.Rejected {
+		t.Errorf("error from the holder: %+v, want it honored", resp)
+	}
+	if st := tc.srv.Status(j); st.State != service.StateFailed || st.Error != msg {
+		t.Errorf("job is %s with error %q, want failed with %q", st.State, st.Error, msg)
+	}
+
+	sv := tc.coord.Status()
+	for _, wv := range sv.Workers {
+		if wv.ID == next.id && math.Abs(wv.Health-healthExecFailure) > 0.01 {
+			t.Errorf("holder's health = %.3f, want the %.1f execution-failure penalty", wv.Health, healthExecFailure)
+		}
+		if wv.Inflight != 0 {
+			t.Errorf("worker %s still has %d jobs in flight", wv.ID, wv.Inflight)
+		}
+	}
+	if len(sv.Leases) != 0 {
+		t.Errorf("%d leases remain after the job failed, want 0", len(sv.Leases))
+	}
+	if fails := assignLogEvents(t, tc, "fail"); len(fails) != 1 || fails[0] != j.ID() {
+		t.Errorf("assign log holds fail events %v, want exactly one for %s", fails, j.ID())
 	}
 }

@@ -144,12 +144,14 @@ type StatusView struct {
 	Workers []WorkerView `json:"workers"`
 	Leases  []LeaseView  `json:"leases"`
 	Queued  int          `json:"queued"`
-	// Assigned/Requeued/Expired/Hedged/Rejected are lifetime counters.
+	// Assigned/Requeued/Expired/Rejected are lifetime counters.
 	Assigned int64 `json:"assigned"`
 	Requeued int64 `json:"requeued"`
 	Expired  int64 `json:"expired"`
-	// Hedged counts jobs speculatively re-dispatched past the fleet's
-	// p99 run estimate.
+	// Hedged is always 0: the coordinator never dispatches a job
+	// speculatively. A job runs again only when its lease expires or its
+	// upload is rejected, and Requeued counts those. The field stays for
+	// readers that still decode it.
 	Hedged int64 `json:"hedged"`
 	// Rejected counts uploads that failed verification.
 	Rejected int64 `json:"rejected"`
@@ -188,7 +190,4 @@ type LeaseView struct {
 	ExpiresInMillis int64 `json:"expires_in_ms"`
 	// AgeMillis is time since assignment.
 	AgeMillis int64 `json:"age_ms"`
-	// Hedged is set once the job has been speculatively re-dispatched
-	// to a second worker.
-	Hedged bool `json:"hedged,omitempty"`
 }

@@ -21,13 +21,11 @@ import (
 // meaning of sim.Result fields) changes. Version 2 added the
 // fingerprint header and blob records; version 3 frames every record
 // with a CRC32 so corruption anywhere in the file — not just a torn
-// tail — is detected and quarantined instead of silently served.
-// Version-2 stores are still readable: they are upgraded to v3 in
-// place (atomically) on open.
-const (
-	checkpointVersion   = 3
-	checkpointVersionV2 = 2
-)
+// tail — is detected and quarantined instead of silently served. A
+// store written under any other version, v2 included, is refused on
+// open: a v2 record carries no CRC, so a bit flip that still parses
+// would be served.
+const checkpointVersion = 3
 
 // checkpointFile is the store's single append-only log;
 // quarantineFile collects the raw bytes of any record that failed its
@@ -103,8 +101,8 @@ func unframeRecord(line []byte) ([]byte, error) {
 // parsedStore is the outcome of scanning a store file: the surviving
 // records in file order, the length of the clean prefix (for the
 // truncate-only fast path), the raw bytes of quarantined lines, and
-// whether the file must be rewritten (legacy format or mid-file
-// corruption) rather than merely truncated.
+// whether the file must be rewritten (mid-file corruption) rather than
+// merely truncated.
 type parsedStore struct {
 	recs        []checkpointRecord
 	good        int
@@ -119,7 +117,6 @@ type parsedStore struct {
 // fatal; a torn tail (no trailing newline) is dropped.
 func parseStore(data []byte, fingerprint string) (parsedStore, error) {
 	var p parsedStore
-	legacy := false
 	first := true
 	for p.good < len(data) {
 		nl := bytes.IndexByte(data[p.good:], '\n')
@@ -143,12 +140,7 @@ func parseStore(data []byte, fingerprint string) (parsedStore, error) {
 				}
 				return p, fmt.Errorf("checkpoint header is corrupt but records follow; refusing to guess (quarantine or delete the store)")
 			}
-			switch hdr.V {
-			case checkpointVersion:
-			case checkpointVersionV2:
-				legacy = true
-				p.rewrite = true // upgrade to v3 framing on open
-			default:
+			if hdr.V != checkpointVersion {
 				return p, fmt.Errorf("checkpoint format version %d, this build writes %d (delete the directory to start over)",
 					hdr.V, checkpointVersion)
 			}
@@ -160,26 +152,14 @@ func parseStore(data []byte, fingerprint string) (parsedStore, error) {
 			p.good += nl + 1
 			continue
 		}
-		payload := line
-		wantV := checkpointVersionV2
-		if !legacy {
-			wantV = checkpointVersion
-			var err error
-			if payload, err = unframeRecord(line); err != nil {
-				p.quarantined = append(p.quarantined, append([]byte(nil), line...))
-				p.rewrite = true
-				p.good += nl + 1
-				continue
-			}
-		}
+		payload, err := unframeRecord(line)
 		var rec checkpointRecord
-		if json.Unmarshal(payload, &rec) != nil || rec.V != wantV || rec.Key == "" {
+		if err != nil || json.Unmarshal(payload, &rec) != nil || rec.V != checkpointVersion || rec.Key == "" {
 			p.quarantined = append(p.quarantined, append([]byte(nil), line...))
 			p.rewrite = true
 			p.good += nl + 1
 			continue
 		}
-		rec.V = checkpointVersion
 		p.recs = append(p.recs, rec)
 		p.good += nl + 1
 	}
@@ -250,9 +230,9 @@ func OpenCheckpointFS(fsys vfs.FS, dir, fingerprint string) (*Checkpoint, error)
 		quarantine(fsys, dir, p.quarantined)
 	}
 	if p.rewrite {
-		// Legacy format or mid-file corruption: rewrite the store
-		// compacted to its surviving records, crash-atomically, so the
-		// next scan is clean and v3-framed throughout.
+		// A quarantined record or a lone corrupt header: rewrite the
+		// store compacted to its surviving records, crash-atomically, so
+		// the next scan is clean.
 		var buf bytes.Buffer
 		hdr, err := json.Marshal(checkpointHeader{V: checkpointVersion, FP: fingerprint})
 		if err != nil {

@@ -5,89 +5,50 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/vfs"
 )
 
-// writeV2Store builds a legacy (pre-CRC) store file by hand: plain
-// JSONL records after a v2 header — the on-disk format PR 3/4 wrote.
-func writeV2Store(t *testing.T, fsys vfs.FS, dir, fp string, recs []checkpointRecord) {
-	t.Helper()
-	var buf bytes.Buffer
-	hdr, err := json.Marshal(checkpointHeader{V: checkpointVersionV2, FP: fp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Write(hdr)
-	buf.WriteByte('\n')
-	for _, rec := range recs {
-		rec.V = checkpointVersionV2
-		b, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, checkpointFile), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCheckpointV2ReadCompat: a store written in the legacy v2 format
-// opens, serves its records, and is upgraded in place to v3 framing —
-// after which every line (header aside) carries a CRC.
-func TestCheckpointV2ReadCompat(t *testing.T) {
+// TestCheckpointV2Refused: a store in the retired v2 format (no
+// per-record CRC) is refused with the version error rather than
+// served, and the refusal leaves the file byte-for-byte unchanged.
+func TestCheckpointV2Refused(t *testing.T) {
 	dir := t.TempDir()
-	res := sim.Result{PrefetchesIssued: 11}
-	writeV2Store(t, vfs.OS{}, dir, testFP(), []checkpointRecord{
-		{Key: "a/b", Result: res, Samples: []byte("{\"s\":1}\n")},
-		{Key: "fig/x", Blob: []byte(`{"table":1}`), IsBlob: true},
-	})
-	ck, err := OpenCheckpoint(dir, testFP())
+	path := filepath.Join(dir, checkpointFile)
+	var v2 bytes.Buffer
+	hdr, err := json.Marshal(checkpointHeader{V: 2, FP: testFP()})
 	if err != nil {
-		t.Fatalf("v2 store refused: %v", err)
-	}
-	got, samples, ok := ck.Get("a/b")
-	if !ok || got.PrefetchesIssued != 11 || string(samples) != "{\"s\":1}\n" {
-		t.Errorf("v2 run record = (%+v, %q, %t), want the persisted values", got, samples, ok)
-	}
-	if blob, ok := ck.GetBlob("fig/x"); !ok || string(blob) != `{"table":1}` {
-		t.Errorf("v2 blob record = (%q, %t)", blob, ok)
-	}
-	if err := ck.Put("new/key", sim.Result{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Close(); err != nil {
+	rec, err := json.Marshal(checkpointRecord{V: 2, Key: "a/b", Result: sim.Result{PrefetchesIssued: 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2.Write(hdr)
+	v2.WriteByte('\n')
+	v2.Write(rec)
+	v2.WriteByte('\n')
+	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	// The upgraded file must be pure v3: header + CRC-framed lines.
-	data, err := os.ReadFile(filepath.Join(dir, checkpointFile))
+	ck, err := OpenCheckpoint(dir, testFP())
+	if err == nil {
+		ck.Close()
+		t.Fatal("opened a v2 store")
+	}
+	if !strings.Contains(err.Error(), "format version 2, this build writes 3") {
+		t.Errorf("v2 store refused with %q, want the format-version error", err)
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n"))
-	if len(lines) != 4 {
-		t.Fatalf("upgraded store has %d lines, want header + 3 records", len(lines))
-	}
-	for i, line := range lines[1:] {
-		if _, err := unframeRecord(line); err != nil {
-			t.Errorf("upgraded record %d not CRC-framed: %v", i, err)
-		}
-	}
-	ck2, err := OpenCheckpoint(dir, testFP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	if ck2.Len() != 3 {
-		t.Errorf("reopened upgraded store holds %d records, want 3", ck2.Len())
+	if !bytes.Equal(after, v2.Bytes()) {
+		t.Errorf("refusing the v2 store changed it:\n%q\nwant\n%q", after, v2.Bytes())
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 )
 
 // RunError is the structured failure of one pooled run: what key it
-// was, why it failed, how many attempts were made, and — for panics —
-// the stack captured at the panic site. Futures resolve with a
-// RunError instead of hanging, so a crashing cell degrades into an
-// annotated error row while sibling runs complete.
+// was, why it failed, and — for panics — the stack captured at the
+// panic site. Futures resolve with a RunError instead of hanging, so a
+// crashing cell degrades into an annotated error row while sibling
+// runs complete.
 type RunError struct {
 	// Key is the run's cell key ("bench/config" for single-core
 	// cells); "run" for jobs scheduled outside a Runner.
@@ -20,11 +20,6 @@ type RunError struct {
 	// Reason classifies the failure: "panic", "aborted" (watchdog
 	// deadline/stall), or "fault" (injected by Params.FaultHook).
 	Reason string
-	// Attempts is how many times the run was tried (retries included).
-	Attempts int
-	// Transient marks failures eligible for retry (injected faults only;
-	// panics and watchdog aborts are deterministic and never retried).
-	Transient bool
 	// Err is the underlying panic value or injected error.
 	Err error
 	// Stack is the goroutine stack at the panic site (nil for non-panic
@@ -36,9 +31,6 @@ func (e *RunError) Error() string {
 	key := e.Key
 	if key == "" {
 		key = "run"
-	}
-	if e.Attempts > 1 {
-		return fmt.Sprintf("%s failed (%s, %d attempts): %v", key, e.Reason, e.Attempts, e.Err)
 	}
 	return fmt.Sprintf("%s failed (%s): %v", key, e.Reason, e.Err)
 }

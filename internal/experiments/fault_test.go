@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,68 +99,6 @@ func TestPanicIsolationProducesErrorTable(t *testing.T) {
 	}
 	if !AnyFailed(tables) {
 		t.Error("AnyFailed missed the failed table")
-	}
-}
-
-// TestRetryTransientFault injects one transient failure through the
-// fault hook and verifies the bounded retry recovers: the run succeeds
-// on the second attempt and counts as a single simulation.
-func TestRetryTransientFault(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation smoke test")
-	}
-	var calls atomic.Int32
-	p := tinyParams()
-	p.Retries = 1
-	p.FaultHook = func(key string, attempt int) error {
-		calls.Add(1)
-		if attempt == 1 {
-			return errors.New("injected transient fault")
-		}
-		return nil
-	}
-	r := NewRunnerPool(p, NewPool(2))
-	res, err := r.singleF(irregularSpec(t), cfgNone).Result()
-	if err != nil {
-		t.Fatalf("transient fault not retried: %v", err)
-	}
-	if res.IPC() <= 0 {
-		t.Error("retried run produced no result")
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("fault hook called %d times, want 2 (fail, then succeed)", got)
-	}
-	if got := r.Runs(); got != 1 {
-		t.Errorf("Runs() = %d, want 1 (the fault fires before the simulation)", got)
-	}
-}
-
-// TestRetryBudgetExhausted verifies a persistently failing cell gives
-// up after Retries extra attempts with the attempt count reported.
-func TestRetryBudgetExhausted(t *testing.T) {
-	var calls atomic.Int32
-	p := tinyParams()
-	p.Retries = 2
-	p.FaultHook = func(key string, attempt int) error {
-		calls.Add(1)
-		return errors.New("always failing")
-	}
-	r := NewRunnerPool(p, NewPool(1))
-	_, err := r.singleF(irregularSpec(t), cfgNone).Result()
-	if err == nil {
-		t.Fatal("persistently failing cell reported success")
-	}
-	if err.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3 (1 initial + 2 retries)", err.Attempts)
-	}
-	if !err.Transient {
-		t.Error("fault-injected failure not marked transient")
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("fault hook called %d times, want 3", got)
-	}
-	if r.Runs() != 0 {
-		t.Errorf("Runs() = %d, want 0 (no attempt reached the simulator)", r.Runs())
 	}
 }
 

@@ -28,9 +28,8 @@ type Runner struct {
 	// never takes a cell that was simulated without its checks.
 	memoNS string
 
-	mu         sync.Mutex
-	used       map[string]*memoCell // cells this runner asked for, by key
-	sampleErrs map[string]error     // series lost to encoding failures
+	mu   sync.Mutex
+	used map[string]*memoCell // cells this runner asked for, by key
 
 	// ckpt, when set, persists every completed single-core cell and
 	// satisfies repeat keys from disk (resume of an interrupted sweep).

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 )
 
@@ -85,9 +86,10 @@ func TestMemoSharedAcrossRunners(t *testing.T) {
 	}
 }
 
-// TestMemoDropsFailedCell verifies a failed cell is not retained: after
-// a cell fails persistently under the fault hook, a later Runner on the
-// same pool simulates it afresh and succeeds.
+// TestMemoDropsFailedCell verifies a failed cell is not retained: a
+// fault-hook error fails the cell once, unsimulated, with a "fault"
+// RunError naming its key, and a later Runner on the same pool
+// simulates it afresh and succeeds.
 func TestMemoDropsFailedCell(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
@@ -95,9 +97,24 @@ func TestMemoDropsFailedCell(t *testing.T) {
 	pool := NewPool(2)
 	spec := irregularSpec(t)
 	p := tinyParams()
-	p.FaultHook = func(string, int) error { return errors.New("always failing") }
-	if _, err := NewRunnerPool(p, pool).singleF(spec, cfgNone).Result(); err == nil {
-		t.Fatal("persistently failing cell reported success")
+	var calls atomic.Int32
+	p.FaultHook = func(string) error {
+		calls.Add(1)
+		return errors.New("always failing")
+	}
+	failing := NewRunnerPool(p, pool)
+	_, err := failing.singleF(spec, cfgNone).Result()
+	if err == nil {
+		t.Fatal("failing cell reported success")
+	}
+	if want := spec.Name + "/" + cfgNone.name; err.Reason != "fault" || err.Key != want {
+		t.Errorf("error reason %q key %q, want fault for %q", err.Reason, err.Key, want)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("fault hook called %d times, want 1 (a failed run is not retried)", n)
+	}
+	if n := failing.Runs(); n != 0 {
+		t.Errorf("Runs() = %d, want 0 (the fault fires before the simulation)", n)
 	}
 	if n := pool.memo.len(); n != 0 {
 		t.Errorf("memo retained %d cells after the failure, want 0", n)

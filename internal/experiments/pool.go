@@ -232,9 +232,6 @@ func Guarded(key string, deadline, stall time.Duration, mkHooks func() *telemetr
 			if err.Key == "" {
 				err.Key = key
 			}
-			if err.Attempts == 0 {
-				err.Attempts = 1
-			}
 			panic(err)
 		}
 	}()
@@ -243,39 +240,17 @@ func Guarded(key string, deadline, stall time.Duration, mkHooks func() *telemetr
 
 // --- Runner integration ---
 
-// execute runs one keyed job with bounded, deterministic retry: only
-// failures marked Transient (injected by Params.FaultHook) are
-// retried, up to Params.Retries extra attempts. Panics and watchdog
-// aborts are deterministic, so retrying them would just repeat the
-// failure; they propagate immediately.
+// execute runs one keyed job under the Params' watchdog. A failure
+// panics with a *RunError tagged with key: a panic or watchdog abort in
+// the run, or an error from Params.FaultHook, which fires before the
+// simulation starts.
 func (r *Runner) execute(key string, run func(*telemetry.Hooks) sim.Result) sim.Result {
-	for attempt := 1; ; attempt++ {
-		res, err := r.tryRun(key, attempt, run)
-		if err == nil {
-			return res
-		}
-		err.Key, err.Attempts = key, attempt
-		if !err.Transient || attempt > r.P.Retries {
-			panic(err)
-		}
-	}
-}
-
-// tryRun performs one attempt, converting any panic into the returned
-// *RunError. The fault hook fires before the simulation so injected
-// failures cost nothing to retry.
-func (r *Runner) tryRun(key string, attempt int, run func(*telemetry.Hooks) sim.Result) (res sim.Result, rerr *RunError) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			rerr = asRunError(rec)
-		}
-	}()
 	if hook := r.P.FaultHook; hook != nil {
-		if err := hook(key, attempt); err != nil {
-			return sim.Result{}, &RunError{Reason: "fault", Transient: true, Err: err}
+		if err := hook(key); err != nil {
+			panic(&RunError{Key: key, Reason: "fault", Err: err})
 		}
 	}
-	return Guarded(key, r.P.Deadline, r.P.StallTimeout, r.newHooks, run), nil
+	return Guarded(key, r.P.Deadline, r.P.StallTimeout, r.newHooks, run)
 }
 
 // record accumulates a finished run's cost into the runner's counters
@@ -308,21 +283,15 @@ func (r *Runner) newHooks() *telemetry.Hooks {
 }
 
 // encodeSamples renders one run's sampled series as JSONL (nil when
-// the run was not sampled). An encoding failure does not fail the run
-// (the result is still good); it is recorded and surfaced through
-// SampleErrors instead of vanishing.
-func (r *Runner) encodeSamples(key string, hooks *telemetry.Hooks) []byte {
+// the run was not sampled). A series that fails to encode is dropped
+// and the run still succeeds, as service.Execute does for single jobs:
+// the result is good, only its telemetry is lost.
+func encodeSamples(hooks *telemetry.Hooks) []byte {
 	if hooks == nil || hooks.Sampler == nil {
 		return nil
 	}
 	var buf bytes.Buffer
-	if err := hooks.Sampler.WriteJSONL(&buf); err != nil {
-		r.mu.Lock()
-		if r.sampleErrs == nil {
-			r.sampleErrs = make(map[string]error)
-		}
-		r.sampleErrs[key] = fmt.Errorf("sample series for %s dropped: %w", key, err)
-		r.mu.Unlock()
+	if hooks.Sampler.WriteJSONL(&buf) != nil {
 		return nil
 	}
 	return buf.Bytes()
@@ -339,19 +308,6 @@ func (r *Runner) SampleSeries() map[string][]byte {
 		if c.finished() && len(c.samples) > 0 {
 			out[k] = c.samples
 		}
-	}
-	return out
-}
-
-// SampleErrors returns the series that failed to encode, keyed like
-// SampleSeries. The runs themselves succeeded; only their telemetry
-// was lost.
-func (r *Runner) SampleErrors() map[string]error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]error, len(r.sampleErrs))
-	for k, v := range r.sampleErrs {
-		out[k] = v
 	}
 	return out
 }
@@ -398,7 +354,7 @@ func (r *Runner) cell(key string, durable bool, run func(*telemetry.Hooks) sim.R
 			}()
 			res := r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
 				res := r.record(run(hooks))
-				c.samples = r.encodeSamples(key, hooks)
+				c.samples = encodeSamples(hooks)
 				return res
 			})
 			r.pool.memo.simulated.Add(1)

@@ -50,20 +50,15 @@ type Params struct {
 	// instruction count stops advancing for this long (a wedged
 	// simulation on an otherwise healthy pool).
 	StallTimeout time.Duration
-	// Retries is how many extra attempts a transiently failed run gets
-	// (total attempts = Retries + 1). Only failures injected through
-	// FaultHook are transient; panics and watchdog aborts are
-	// deterministic and never retried.
-	Retries int
 	// CheckEvery, when non-zero, enables the simulator's structural
 	// invariant sweep at this stepped-instruction interval (debug mode;
 	// see sim.Options.CheckEvery).
 	CheckEvery uint64
-	// FaultHook, when non-nil, is consulted before every run attempt
-	// with the run's cache key and 1-based attempt number; a non-nil
-	// error fails that attempt as a retryable transient fault. Test
-	// hook for the retry machinery — leave nil in production.
-	FaultHook func(key string, attempt int) error
+	// FaultHook, when non-nil, is consulted before every run with the
+	// run's cache key; a non-nil error fails the run, unsimulated, with
+	// a "fault" RunError naming the key. Test seam for failure handling
+	// — leave nil in production.
+	FaultHook func(key string) error
 }
 
 // DefaultParams returns the quick configuration.

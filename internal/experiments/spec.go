@@ -393,7 +393,7 @@ func ConfigFingerprint(m config.Machine) string {
 
 // Fingerprint extends ConfigFingerprint with the experiment-scale
 // parameters that shape results (instruction windows, mix count, seed,
-// sampling interval). Debug/fault knobs (Deadline, Stall, Retries,
+// sampling interval). Debug/fault knobs (Deadline, StallTimeout,
 // CheckEvery, FaultHook) change nothing about a successful run's
 // output and are excluded.
 func (p Params) Fingerprint(m config.Machine) string {

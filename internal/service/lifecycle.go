@@ -14,12 +14,12 @@ import (
 // server's own slots, the worker's name and id under the cluster
 // coordinator in internal/cluster), turns its spec into a result with
 // Execute, and finishes it with Complete or Fail. Requeue returns a
-// job whose remote worker died (lease expired) to the queue; because a
-// job stays in the admission log until its result is durable, neither
-// a worker death nor a coordinator restart can lose an acknowledged
-// job. Leases, heartbeats, upload verification and hedging are the
-// coordinator's: they guard a network and a foreign process, which an
-// in-process slot does not have.
+// job to the queue when its remote worker's lease expired or its
+// upload was rejected; because a job stays in the admission log until
+// its result is durable, neither a worker death nor a coordinator
+// restart can lose an acknowledged job. Leases, heartbeats and upload
+// verification are the coordinator's: they guard a network and a
+// foreign process, which an in-process slot does not have.
 
 // Take blocks until a queued job needs running and removes it from the
 // queue. A job that finished meanwhile (a late upload completed it
@@ -107,9 +107,9 @@ func (s *Server) endRun(j *Job) (obs.SpanRef, bool) {
 // uploaded result and an in-process one store the same bytes. A figure
 // table with error rows completes the job but is never stored: a
 // transient failure must not be served forever. Idempotent: for a job
-// already terminal (a late upload after a requeue, a hedge that lost
-// the race) it reports false and changes nothing — first result wins,
-// nothing durable is overwritten.
+// already terminal (a late upload after a requeue, a requeued copy
+// that lost the race) it reports false and changes nothing — first
+// result wins, nothing durable is overwritten.
 func (s *Server) Complete(j *Job, env JobResult) bool {
 	span, ok := s.endRun(j)
 	if !ok {
@@ -161,9 +161,9 @@ func (s *Server) Fail(j *Job, msg string) bool {
 }
 
 // Requeue returns a running remote job to the queue (its worker's
-// lease expired). The job keeps its identity and admission-log entry;
-// a fresh queue-wait span opens so the trace shows the second wait.
-// No-op unless the job is currently running.
+// lease expired or its upload was rejected). The job keeps its
+// identity and admission-log entry; a fresh queue-wait span opens so
+// the trace shows the second wait. No-op unless the job is running.
 func (s *Server) Requeue(j *Job, reason string) bool {
 	s.mu.Lock()
 	if j.state != StateRunning {
