@@ -3,18 +3,26 @@ package core
 import "fmt"
 
 // checkInvariants verifies the metadata store's structural invariants:
-// the associativity stays inside the allocated backing and no valid
-// entry survives beyond the current associativity (resize invalidates
-// shrunk ways, so residency there means a resize leaked state).
+// the associativity stays inside the allocated backing, the backing
+// holds exactly the configured policy's replacement state, and no
+// valid entry survives beyond the current associativity (resize
+// invalidates shrunk ways, so residency there means a resize leaked
+// state).
 func (s *store) checkInvariants() error {
 	if s.assoc < 0 || s.assoc > s.maxAssoc {
 		return fmt.Errorf("triage store: assoc=%d of max %d", s.assoc, s.maxAssoc)
 	}
 	want := metadataSets * s.maxAssoc
-	if len(s.trig) != want || len(s.nextSet) != want || len(s.nextTag) != want ||
-		len(s.conf) != want || len(s.rrpv) != want || len(s.pc) != want || len(s.stamp) != want {
-		return fmt.Errorf("triage store: backing arrays sized %d/%d/%d/%d/%d/%d/%d, want %d",
-			len(s.trig), len(s.nextSet), len(s.nextTag), len(s.conf), len(s.rrpv), len(s.pc), len(s.stamp), want)
+	if len(s.trig) != want || len(s.succ) != want {
+		return fmt.Errorf("triage store: entry arrays sized %d/%d, want %d", len(s.trig), len(s.succ), want)
+	}
+	hawk, lru := 0, want // the lengths each policy's arrays must have
+	if s.useHawkeye {
+		hawk, lru = want, 0
+	}
+	if len(s.rrpv) != hawk || len(s.pcIdx) != hawk || len(s.stamp) != lru {
+		return fmt.Errorf("triage store: rrpv/pcIdx/stamp sized %d/%d/%d under hawkeye=%v, want %d/%d/%d",
+			len(s.rrpv), len(s.pcIdx), len(s.stamp), s.useHawkeye, hawk, hawk, lru)
 	}
 	for i := 0; i < metadataSets; i++ {
 		base := i * s.maxAssoc

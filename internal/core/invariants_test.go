@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/replacement"
 )
 
 func TestStoreCheckInvariants(t *testing.T) {
@@ -40,5 +42,44 @@ func TestTriageCheckInvariants(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "partition wants") {
 		t.Errorf("violation %q does not identify the capacity mismatch", err)
+	}
+}
+
+// TestStoreCheckInvariantsPolicyArrays: the store holds exactly the
+// configured policy's replacement state — RRPVs and predictor indices
+// under Hawkeye, stamps under LRU — so a store that grew the other
+// policy's array, or lost its own, fails the check.
+func TestStoreCheckInvariantsPolicyArrays(t *testing.T) {
+	n := metadataSets * 2
+	for name, corrupt := range map[string]func() *store{
+		"hawkeye+stamp": func() *store {
+			s := newStore(2, true, replacement.NewPredictor(10))
+			s.stamp = make([]uint64, n)
+			return s
+		},
+		"hawkeye-pcIdx": func() *store {
+			s := newStore(2, true, replacement.NewPredictor(10))
+			s.pcIdx = nil
+			return s
+		},
+		"lru+rrpv": func() *store {
+			s := newStore(2, false, nil)
+			s.rrpv = make([]uint8, n)
+			return s
+		},
+		"lru-stamp": func() *store {
+			s := newStore(2, false, nil)
+			s.stamp = s.stamp[:n/2]
+			return s
+		},
+	} {
+		if err := corrupt().checkInvariants(); err == nil {
+			t.Errorf("%s: passed the invariant check", name)
+		}
+	}
+	for _, hawkeye := range []bool{true, false} {
+		if err := newStore(2, hawkeye, replacement.NewPredictor(10)).checkInvariants(); err != nil {
+			t.Errorf("fresh hawkeye=%v store: %v", hawkeye, err)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/flat"
 	"repro/internal/mem"
 	"repro/internal/replacement"
@@ -17,10 +19,21 @@ const metadataSets = 2048
 // (10b) + 1-bit confidence.
 const bytesPerEntry = 4
 
-// invalidTrig marks an empty way in the trigger-tag array. Real
-// compressed tags are at most 31 bits wide, far below 2^32-1, so the
-// residency scan needs no separate valid flag.
-const invalidTrig = ^uint32(0)
+// The successor word holds the entry's other three fields in the
+// paper's layout: set_id in the low setBits, the compressed successor
+// tag in the next tagBits, and the confidence bit on top.
+const (
+	setBits = 11 // log2(metadataSets)
+	tagBits = 10 // compressed tag width (paper §3.2)
+	setMask = 1<<setBits - 1
+	tagMask = 1<<tagBits - 1
+	confBit = uint32(1) << 31
+)
+
+// invalidTrig marks an empty way in the trigger-tag array. Compressed
+// tags are below it (mustFitPacking), so the residency scan needs no
+// separate valid flag.
+const invalidTrig = ^uint16(0)
 
 const storeMaxRRPV = 7
 
@@ -28,19 +41,20 @@ const storeMaxRRPV = 7
 // entries per set; the sets mirror the LLC's set decomposition so that
 // each set maps onto metadata ways of the corresponding LLC sets.
 //
-// Layout: per-way state lives in parallel flat arrays indexed
-// set*maxAssoc + way (struct-of-arrays). The lookup scan — the hottest
-// loop of a Triage run — touches only the 4-byte trigger-tag array,
-// with empty ways holding the invalidTrig sentinel.
+// Layout: per-way state lives in flat arrays indexed set*maxAssoc + way
+// and holds an entry in the format it models. The lookup scan — the
+// hottest loop of a Triage run — touches only the 2-byte trigger-tag
+// array; the rest of the entry is one 4-byte successor word. Only the
+// configured policy's replacement state exists: Hawkeye keeps an RRPV
+// and the predictor-counter index of the PC that last touched the
+// entry (11 host bytes per entry), LRU a timestamp (14 bytes).
 type store struct {
-	// Parallel per-way state, indexed set*maxAssoc + way.
-	trig    []uint32 // compressed trigger tag; invalidTrig when empty
-	nextSet []uint32 // successor set_id
-	nextTag []uint32 // successor compressed tag
-	conf    []bool   // 1-bit confidence: replace only after two misses
-	rrpv    []uint8  // Hawkeye replacement state
-	pc      []uint64 // PC that last touched the entry (Hawkeye)
-	stamp   []uint64 // LRU timestamp (used when the store runs LRU)
+	trig []uint16 // compressed trigger tag; invalidTrig when empty
+	succ []uint32 // set_id | successor tag<<setBits | confBit
+
+	rrpv  []uint8  // Hawkeye only: re-reference prediction value
+	pcIdx []uint32 // Hawkeye only: predictor index of the last PC
+	stamp []uint64 // LRU only: last-touch timestamp
 
 	assoc        int // current entries per set
 	maxAssoc     int
@@ -58,19 +72,21 @@ type store struct {
 func newStore(maxAssoc int, useHawkeye bool, pred *replacement.Predictor) *store {
 	n := metadataSets * maxAssoc
 	s := &store{
-		trig:       make([]uint32, n),
-		nextSet:    make([]uint32, n),
-		nextTag:    make([]uint32, n),
-		conf:       make([]bool, n),
-		rrpv:       make([]uint8, n),
-		pc:         make([]uint64, n),
-		stamp:      make([]uint64, n),
+		trig:       make([]uint16, n),
+		succ:       make([]uint32, n),
 		assoc:      maxAssoc,
 		maxAssoc:   maxAssoc,
 		useHawkeye: useHawkeye,
 		pred:       pred,
-		trigComp:   mem.NewTagCompressor(10),
-		nextComp:   mem.NewTagCompressor(10),
+		trigComp:   mem.NewTagCompressor(tagBits),
+		nextComp:   mem.NewTagCompressor(tagBits),
+	}
+	mustFitPacking(s.trigComp, s.nextComp)
+	if useHawkeye {
+		s.rrpv = make([]uint8, n)
+		s.pcIdx = make([]uint32, n)
+	} else {
+		s.stamp = make([]uint64, n)
 	}
 	for i := range s.trig {
 		s.trig[i] = invalidTrig
@@ -78,8 +94,17 @@ func newStore(maxAssoc int, useHawkeye bool, pred *replacement.Predictor) *store
 	return s
 }
 
-func storeSet(l mem.Line) int      { return int(uint64(l) & (metadataSets - 1)) }
-func storeTagOf(l mem.Line) uint64 { return uint64(l) >> 11 }
+// mustFitPacking panics unless the compressors' ids fit the entry
+// format: trigger ids below invalidTrig, successor ids in tagBits.
+func mustFitPacking(trig, next *mem.TagCompressor) {
+	if trig.Capacity() > int(invalidTrig) || next.Bits() > tagBits {
+		panic(fmt.Sprintf("core: %d-bit trigger and %d-bit successor tags do not fit the metadata entry",
+			trig.Bits(), next.Bits()))
+	}
+}
+
+func storeSet(l mem.Line) int      { return int(uint64(l) & setMask) }
+func storeTagOf(l mem.Line) uint64 { return uint64(l) >> setBits }
 
 // resize changes the per-set associativity; shrinking invalidates
 // entries in the removed ways (the paper marks them invalid
@@ -112,10 +137,11 @@ func (s *store) lookup(l mem.Line) (next mem.Line, way int, ok bool) {
 	if s.assoc == 0 {
 		return 0, -1, false
 	}
-	tag, okTag := s.trigComp.Lookup(storeTagOf(l))
+	id, okTag := s.trigComp.Lookup(storeTagOf(l))
 	if !okTag {
 		return 0, -1, false
 	}
+	tag := uint16(id)
 	base := storeSet(l) * s.maxAssoc
 	trig := s.trig[base : base+s.assoc]
 	for w := range trig {
@@ -123,7 +149,8 @@ func (s *store) lookup(l mem.Line) (next mem.Line, way int, ok bool) {
 			continue
 		}
 		i := base + w
-		full, okNext := s.nextComp.Decompress(s.nextTag[i])
+		succ := s.succ[i]
+		full, okNext := s.nextComp.Decompress(succ >> setBits & tagMask)
 		if !okNext {
 			// Successor tag recycled: the entry is stale.
 			s.trig[i] = invalidTrig
@@ -133,7 +160,7 @@ func (s *store) lookup(l mem.Line) (next mem.Line, way int, ok bool) {
 			n, _ := s.reuse.Get(uint64(l))
 			s.reuse.Set(uint64(l), n+1)
 		}
-		return mem.Line(full<<11 | uint64(s.nextSet[i])), w, true
+		return mem.Line(full<<setBits | uint64(succ&setMask)), w, true
 	}
 	return 0, -1, false
 }
@@ -143,32 +170,21 @@ func (s *store) promote(l mem.Line, way int, pc uint64) {
 	if way < 0 || way >= s.assoc {
 		return
 	}
-	i := storeSet(l)*s.maxAssoc + way
-	s.clock++
-	s.stamp[i] = s.clock
-	s.pc[i] = pc
-	if s.useHawkeye {
-		if s.pred.Friendly(pc) {
-			s.rrpv[i] = 0
-		} else {
-			s.rrpv[i] = storeMaxRRPV
-		}
-	}
+	s.touch(storeSet(l)*s.maxAssoc+way, pc)
 }
 
 // insert records the correlation l -> next under the 1-bit confidence
 // policy: an existing entry's successor changes only after two
-// consecutive disagreements. It reports whether an update occurred and
-// whether an existing entry was replaced (capacity eviction).
+// consecutive disagreements. A miss allocates a way, counting a
+// replacement when it evicts a valid entry.
 func (s *store) insert(l, next mem.Line, pc uint64) {
 	if s.assoc == 0 {
 		return
 	}
 	setIdx := storeSet(l)
 	base := setIdx * s.maxAssoc
-	trigTag := s.trigComp.Compress(storeTagOf(l))
-	nextTag := s.nextComp.Compress(storeTagOf(next))
-	nextSet := uint32(storeSet(next))
+	trigTag := uint16(s.trigComp.Compress(storeTagOf(l)))
+	succ := s.nextComp.Compress(storeTagOf(next))<<setBits | uint32(storeSet(next))
 
 	trig := s.trig[base : base+s.assoc]
 	for w := range trig {
@@ -176,36 +192,34 @@ func (s *store) insert(l, next mem.Line, pc uint64) {
 			continue
 		}
 		i := base + w
-		if s.nextTag[i] == nextTag && s.nextSet[i] == nextSet {
-			s.conf[i] = true
-		} else if s.conf[i] {
-			s.conf[i] = false
-		} else {
-			s.nextTag[i], s.nextSet[i] = nextTag, nextSet
-			s.conf[i] = true
+		switch cur := s.succ[i]; {
+		case cur&^confBit == succ, cur&confBit == 0:
+			// Agreement, or a second disagreement: (re)store the
+			// successor with confidence.
+			s.succ[i] = succ | confBit
+		default:
+			// First disagreement: keep the successor, drop confidence.
+			s.succ[i] = cur &^ confBit
 		}
-		s.touchOnInsert(i, pc)
+		s.touch(i, pc)
 		return
 	}
 
 	// Miss: allocate a way.
-	w := s.victim(setIdx, pc)
+	w := s.victim(setIdx)
 	i := base + w
 	if s.trig[i] != invalidTrig {
 		s.replacements++
 		if s.useHawkeye && s.rrpv[i] < storeMaxRRPV {
 			// Evicting a metadata entry predicted useful detrains the
 			// PC that last touched it (Hawkeye's eviction feedback).
-			s.pred.TrainNegative(s.pc[i])
+			s.pred.TrainNegativeAt(s.pcIdx[i])
 		}
 	}
 	s.insertions++
 	s.trig[i] = trigTag
-	s.nextSet[i] = nextSet
-	s.nextTag[i] = nextTag
-	s.conf[i] = true
-	s.rrpv[i] = 0
-	s.touchOnInsert(i, pc)
+	s.succ[i] = succ | confBit
+	s.touch(i, pc)
 	if s.trackReuse && s.reuse != nil {
 		if _, seen := s.reuse.Get(uint64(l)); !seen {
 			s.reuse.Set(uint64(l), 0)
@@ -213,21 +227,23 @@ func (s *store) insert(l, next mem.Line, pc uint64) {
 	}
 }
 
-func (s *store) touchOnInsert(i int, pc uint64) {
-	s.clock++
-	s.stamp[i] = s.clock
-	s.pc[i] = pc
-	if s.useHawkeye {
-		if s.pred.Friendly(pc) {
-			s.rrpv[i] = 0
-		} else {
-			s.rrpv[i] = storeMaxRRPV
-		}
+// touch records an access by pc in the policy's replacement state.
+func (s *store) touch(i int, pc uint64) {
+	if !s.useHawkeye {
+		s.clock++
+		s.stamp[i] = s.clock
+		return
+	}
+	s.pcIdx[i] = s.pred.Index(pc)
+	if s.pred.Friendly(pc) {
+		s.rrpv[i] = 0
+	} else {
+		s.rrpv[i] = storeMaxRRPV
 	}
 }
 
 // victim picks a way to replace in setIdx.
-func (s *store) victim(setIdx int, _ uint64) int {
+func (s *store) victim(setIdx int) int {
 	base := setIdx * s.maxAssoc
 	trig := s.trig[base : base+s.assoc]
 	for w := range trig {
@@ -238,30 +254,31 @@ func (s *store) victim(setIdx int, _ uint64) int {
 	if !s.useHawkeye {
 		// LRU
 		victim, oldest := 0, ^uint64(0)
-		for w := 0; w < s.assoc; w++ {
-			if s.stamp[base+w] < oldest {
-				oldest, victim = s.stamp[base+w], w
+		for w, st := range s.stamp[base : base+s.assoc] {
+			if st < oldest {
+				oldest, victim = st, w
 			}
 		}
 		return victim
 	}
 	// Hawkeye: evict an averse entry (RRPV==max), else the oldest
 	// friendly one.
-	for w := 0; w < s.assoc; w++ {
-		if s.rrpv[base+w] == storeMaxRRPV {
+	rrpv := s.rrpv[base : base+s.assoc]
+	for w, r := range rrpv {
+		if r == storeMaxRRPV {
 			return w
 		}
 	}
 	victim, maxRRPV := 0, -1
-	for w := 0; w < s.assoc; w++ {
-		if int(s.rrpv[base+w]) > maxRRPV {
-			maxRRPV, victim = int(s.rrpv[base+w]), w
+	for w, r := range rrpv {
+		if int(r) > maxRRPV {
+			maxRRPV, victim = int(r), w
 		}
 	}
 	// Age friendly entries so they form an insertion order.
-	for w := 0; w < s.assoc; w++ {
-		if w != victim && s.rrpv[base+w] < storeMaxRRPV-1 {
-			s.rrpv[base+w]++
+	for w, r := range rrpv {
+		if w != victim && r < storeMaxRRPV-1 {
+			rrpv[w]++
 		}
 	}
 	return victim
@@ -278,8 +295,8 @@ func (s *store) occupancy() int {
 	n := 0
 	for i := 0; i < metadataSets; i++ {
 		base := i * s.maxAssoc
-		for w := 0; w < s.assoc; w++ {
-			if s.trig[base+w] != invalidTrig {
+		for _, t := range s.trig[base : base+s.assoc] {
+			if t != invalidTrig {
 				n++
 			}
 		}

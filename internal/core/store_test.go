@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -180,4 +183,150 @@ func TestStoreCompressedTagRecycling(t *testing.T) {
 	}
 	// The stale entry may miss or mispredict, but must not panic.
 	s.lookup(first)
+}
+
+// TestStoreMatchesReference drives the packed store and the
+// pre-packing reference (store_ref_test.go) in lockstep on seeded
+// random operation sequences under both policies. Half the triggers
+// come from a hot pool twice the size of 4 sets, so entries are
+// re-trained, aged and replaced; the rest span far more tags than the
+// compressors' 1,024 ids, so ids recycle and old entries resolve to
+// the recycled ids' new tags. The 16-way runs let Hawkeye age entries
+// to its limit.
+func TestStoreMatchesReference(t *testing.T) {
+	for _, hawkeye := range []bool{true, false} {
+		for _, tc := range []struct {
+			maxAssoc, ops int
+			seed          int64
+		}{{4, 12_000, 1}, {4, 12_000, 2}, {16, 6_000, 3}} {
+			name := fmt.Sprintf("hawkeye=%v assoc=%d seed=%d", hawkeye, tc.maxAssoc, tc.seed)
+			rng := rand.New(rand.NewSource(tc.seed))
+			const pcs = 12
+			s := newStore(tc.maxAssoc, hawkeye, replacement.NewPredictor(6))
+			ref := newRefStore(tc.maxAssoc, hawkeye, replacement.NewPredictor(6))
+			line := func() mem.Line {
+				if rng.Intn(2) == 0 {
+					return mem.Line(uint64(rng.Intn(2*tc.maxAssoc))<<setBits | uint64(rng.Intn(4)))
+				}
+				set := uint64(rng.Intn(4))
+				if rng.Intn(8) == 0 {
+					set = uint64(rng.Intn(metadataSets))
+				}
+				return mem.Line(uint64(rng.Intn(1<<14))<<setBits | set)
+			}
+			successor := func(l mem.Line) mem.Line {
+				if rng.Intn(4) == 0 {
+					return line()
+				}
+				// One of two successors, so a trained entry meets both
+				// agreement and disagreement.
+				return l + mem.Line(1+rng.Intn(2))<<setBits
+			}
+			for op := 0; op < tc.ops; op++ {
+				pc := uint64(rng.Intn(pcs)) * 0x40
+				var what string
+				switch r := rng.Intn(100); {
+				case r < 45:
+					what = "insert"
+					l := line()
+					next := successor(l)
+					s.insert(l, next, pc)
+					ref.insert(l, next, pc)
+				case r < 90:
+					what = "lookup/promote"
+					l := line()
+					next, way, ok := s.lookup(l)
+					rnext, rway, rok := ref.lookup(l)
+					if next != rnext || way != rway || ok != rok {
+						t.Fatalf("%s op %d: lookup(%#x) = %#x,%d,%v, reference %#x,%d,%v",
+							name, op, l, next, way, ok, rnext, rway, rok)
+					}
+					if ok && rng.Intn(2) == 0 {
+						s.promote(l, way, pc)
+						ref.promote(l, way, pc)
+					}
+				case r < 99:
+					// Three PCs in four stay friendly against the
+					// detraining of evictions, so Hawkeye mostly ages
+					// and evicts friendly entries, not averse ones.
+					what = "train"
+					for p := uint64(0); p < pcs; p++ {
+						for _, pred := range []*replacement.Predictor{s.pred, ref.pred} {
+							if p%4 != 3 {
+								pred.TrainPositive(p * 0x40)
+							} else {
+								pred.TrainNegative(p * 0x40)
+							}
+						}
+					}
+				default:
+					what = "resize"
+					assoc := rng.Intn(tc.maxAssoc + 1)
+					s.resize(assoc)
+					ref.resize(assoc)
+				}
+				if s.insertions != ref.insertions || s.replacements != ref.replacements {
+					t.Fatalf("%s op %d (%s): insertions/replacements %d/%d, reference %d/%d",
+						name, op, what, s.insertions, s.replacements, ref.insertions, ref.replacements)
+				}
+				if got, want := s.occupancy(), ref.occupancy(); got != want {
+					t.Fatalf("%s op %d (%s): occupancy %d, reference %d", name, op, what, got, want)
+				}
+				for p := uint64(0); p < pcs; p++ {
+					if got, want := s.pred.Counter(p*0x40), ref.pred.Counter(p*0x40); got != want {
+						t.Fatalf("%s op %d (%s): predictor counter of pc %#x = %d, reference %d",
+							name, op, what, p*0x40, got, want)
+					}
+				}
+			}
+			if s.replacements == 0 || s.nextComp.Recycled() == 0 {
+				t.Errorf("%s: sequence never replaced (%d) or recycled (%d)",
+					name, s.replacements, s.nextComp.Recycled())
+			}
+			if err := s.checkInvariants(); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
+// TestStoreHostBytesPerEntry pins the host memory an entry costs: the
+// 2-byte trigger tag and 4-byte successor word, plus a 1-byte RRPV and
+// a 4-byte predictor index under Hawkeye or an 8-byte stamp under LRU.
+// It sums every slice the store holds, so a new per-entry field shows.
+func TestStoreHostBytesPerEntry(t *testing.T) {
+	for _, tc := range []struct {
+		hawkeye bool
+		want    uintptr
+	}{{true, 11}, {false, 14}} {
+		const maxAssoc = 4
+		s := newStore(maxAssoc, tc.hawkeye, replacement.NewPredictor(10))
+		v := reflect.ValueOf(s).Elem()
+		var total uintptr
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Slice {
+				total += uintptr(f.Len()) * f.Type().Elem().Size()
+			}
+		}
+		if got := total / (metadataSets * maxAssoc); got != tc.want || total%(metadataSets*maxAssoc) != 0 {
+			t.Errorf("hawkeye=%v: %d host bytes for %d entries (%d per entry), want %d per entry",
+				tc.hawkeye, total, metadataSets*maxAssoc, got, tc.want)
+		}
+	}
+}
+
+// TestStorePackingPanics: a compressor too wide for the entry format
+// can only come from a bug, so it must stop construction.
+func TestStorePackingPanics(t *testing.T) {
+	for _, w := range []struct{ trig, next uint }{{16, tagBits}, {tagBits, tagBits + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d-bit trigger / %d-bit successor tags did not panic", w.trig, w.next)
+				}
+			}()
+			mustFitPacking(mem.NewTagCompressor(w.trig), mem.NewTagCompressor(w.next))
+		}()
+	}
+	mustFitPacking(mem.NewTagCompressor(15), mem.NewTagCompressor(tagBits))
 }

@@ -33,10 +33,16 @@ func WrapListener(ln net.Listener, plan Plan) *Listener {
 func (l *Listener) Cut() {
 	l.cut.Store(true)
 	l.mu.Lock()
+	live := make([]net.Conn, 0, len(l.conns))
 	for c := range l.conns {
-		c.Close()
+		live = append(live, c)
 	}
 	l.mu.Unlock()
+	// Close outside the lock: a trackedConn's Close takes it to
+	// deregister itself.
+	for _, c := range live {
+		c.Close()
+	}
 }
 
 // Restore ends an explicit Cut; the probabilistic plan still applies.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -213,6 +214,40 @@ func TestListenerCutAndRestore(t *testing.T) {
 	}
 	if ln.Counters()["cut"] == 0 {
 		t.Fatalf("cut counter not incremented: %v", ln.Counters())
+	}
+}
+
+// TestCutClosesLiveConnections: Cut must reset a connection that is
+// still open. It used to close connections while holding the lock
+// that their Close takes to deregister, and hung.
+func TestCutClosesLiveConnections(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := WrapListener(inner, Plan{})
+	defer ln.Close()
+	client, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		ln.Cut()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cut hung closing a live connection")
+	}
+	if _, err := server.Read(make([]byte, 1)); err == nil {
+		t.Error("the cut connection is still readable")
 	}
 }
 

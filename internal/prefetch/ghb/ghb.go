@@ -13,6 +13,7 @@
 package ghb
 
 import (
+	"repro/internal/flat"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 )
@@ -26,10 +27,14 @@ type histEntry struct {
 
 // Prefetcher is a GHB G/DC prefetcher.
 type Prefetcher struct {
-	buf    []histEntry
-	head   int
-	seq    uint64
-	index  map[uint64]int // PC -> most recent buffer slot
+	buf  []histEntry
+	head int
+	seq  uint64
+	// PC -> most recent buffer slot, one entry per buffer slot. A full
+	// index evicts the PC that recorded least recently: at least
+	// len(buf) records followed that PC's last, so its slot is already
+	// overwritten and the index behaves as an unbounded one would.
+	index  *flat.LRU[int]
 	degree int
 }
 
@@ -41,7 +46,7 @@ func New(entries int) *Prefetcher {
 	}
 	return &Prefetcher{
 		buf:    make([]histEntry, entries),
-		index:  make(map[uint64]int),
+		index:  flat.NewLRU[int](entries),
 		degree: 1,
 	}
 }
@@ -59,10 +64,11 @@ func (p *Prefetcher) SetDegree(d int) {
 // chain returns up to n most recent lines of pc's stream, newest first.
 func (p *Prefetcher) chain(pc uint64, n int) []mem.Line {
 	out := make([]mem.Line, 0, n)
-	idx, ok := p.index[pc]
+	slot, ok := p.index.Find(pc)
 	if !ok {
 		return out
 	}
+	idx := *p.index.At(slot)
 	seq := p.buf[idx].seq
 	for len(out) < n {
 		e := p.buf[idx]
@@ -144,19 +150,10 @@ func (p *Prefetcher) predict(ev prefetch.Event) []prefetch.Request {
 func (p *Prefetcher) record(ev prefetch.Event) {
 	p.seq++
 	prev := -1
-	if idx, ok := p.index[ev.PC]; ok && p.buf[idx].pc == ev.PC {
-		prev = idx
+	if slot, ok := p.index.Find(ev.PC); ok && p.buf[*p.index.At(slot)].pc == ev.PC {
+		prev = *p.index.At(slot)
 	}
 	p.buf[p.head] = histEntry{line: ev.Line, prev: prev, pc: ev.PC, seq: p.seq}
-	p.index[ev.PC] = p.head
+	p.index.Insert(ev.PC, p.head)
 	p.head = (p.head + 1) % len(p.buf)
-	if len(p.index) > 4*len(p.buf) {
-		// Bound the PC index against pathological PC churn.
-		for pc := range p.index {
-			delete(p.index, pc)
-			if len(p.index) <= len(p.buf) {
-				break
-			}
-		}
-	}
 }

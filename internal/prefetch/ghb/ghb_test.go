@@ -1,8 +1,11 @@
 package ghb
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/flat"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 )
@@ -146,3 +149,60 @@ var (
 	_ prefetch.Prefetcher   = (*Prefetcher)(nil)
 	_ prefetch.DegreeSetter = (*Prefetcher)(nil)
 )
+
+// TestPCChurnDeterministic: far more PCs than the history holds must
+// not make predictions depend on which index entry gets dropped, so
+// the same stream gives the same requests.
+func TestPCChurnDeterministic(t *testing.T) {
+	run := func() []prefetch.Request {
+		rng := rand.New(rand.NewSource(1))
+		p := New(64)
+		next := make([]mem.Line, 4)
+		var out []prefetch.Request
+		for i := 0; i < 20_000; i++ {
+			if rng.Intn(2) == 0 {
+				// A cold PC: pushes the index past 4x the buffer.
+				p.Train(ev(uint64(1000+i), mem.Line(rng.Intn(1<<20))))
+				continue
+			}
+			h := rng.Intn(len(next))
+			out = append(out, p.Train(ev(uint64(h), next[h]))...)
+			next[h] += mem.Line(1 + i%3)
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("no prefetches: no delta pair ever repeated")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("the same stream gave %d then %d requests", len(a), len(b))
+	}
+}
+
+// TestBoundedIndexMatchesUnbounded pins why the PC index may hold one
+// entry per buffer slot: the PC it evicts has had its slot overwritten,
+// so a prefetcher whose index never evicts predicts the same.
+func TestBoundedIndexMatchesUnbounded(t *testing.T) {
+	bounded, unbounded := New(16), New(16)
+	unbounded.index = flat.NewLRU[int](1 << 16)
+	rng := rand.New(rand.NewSource(2))
+	next := make([]mem.Line, 40)
+	issued := 0
+	for i := 0; i < 50_000; i++ {
+		pc := rng.Intn(len(next))
+		if rng.Intn(3) == 0 {
+			pc = rng.Intn(4)
+		}
+		e := ev(uint64(pc), next[pc])
+		next[pc] += mem.Line(1 + pc%5)
+		a, b := bounded.Train(e), unbounded.Train(e)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("event %d: bounded index predicted %v, unbounded %v", i, a, b)
+		}
+		issued += len(a)
+	}
+	if issued == 0 || bounded.index.Len() != 16 {
+		t.Errorf("issued %d, index holds %d: the stream did not exercise eviction", issued, bounded.index.Len())
+	}
+}

@@ -91,8 +91,9 @@ func New(opts ...Option) *Prefetcher {
 	// PS/SP grow to one entry per correlated line — hundreds of
 	// thousands over a few million trained instructions. Pre-sizing
 	// them skips the long ladder of doubling rehashes on the way up
-	// (measurably hot in multi-core figures); 1<<16 slots is 1MB per
-	// map, far below one simulated LLC.
+	// (measurably hot in multi-core figures). A hint of 1<<16 entries
+	// gives each map 131,072 slots of 16 B: 2 MiB of host memory per
+	// map, 4 MiB per MISB core.
 	p := &Prefetcher{
 		env:      prefetch.NopEnv{},
 		ps:       flat.NewMap(1 << 16),

@@ -34,8 +34,9 @@ type Prefetcher struct {
 	agt    *flat.LRU[generation]
 	agtCap int
 
-	// pattern history table: (pc, trigger offset) -> footprint
-	pht    map[uint64]uint32
+	// Pattern history table: (pc, trigger offset) -> footprint. A new
+	// pattern in a full table evicts the least recently used one.
+	pht    *flat.LRU[uint32]
 	phtCap int
 
 	degree int
@@ -54,7 +55,6 @@ func WithTableSizes(agt, pht int) Option {
 func New(opts ...Option) *Prefetcher {
 	p := &Prefetcher{
 		agtCap: 64,
-		pht:    make(map[uint64]uint32),
 		phtCap: 16384,
 		degree: 8,
 	}
@@ -62,6 +62,7 @@ func New(opts ...Option) *Prefetcher {
 		o(p)
 	}
 	p.agt = flat.NewLRU[generation](p.agtCap)
+	p.pht = flat.NewLRU[uint32](p.phtCap)
 	return p
 }
 
@@ -91,10 +92,12 @@ func (p *Prefetcher) Train(ev prefetch.Event) []prefetch.Request {
 	// New generation: first access to the region is the trigger.
 	p.openGeneration(region, ev.PC, off)
 	// Replay a learned footprint for this (PC, trigger offset), if any.
-	fp, ok := p.pht[phtKey(ev.PC, off)]
+	slot, ok := p.pht.Find(phtKey(ev.PC, off))
 	if !ok {
 		return nil
 	}
+	p.pht.TouchFront(slot)
+	fp := *p.pht.At(slot)
 	base := mem.Line(region * RegionLines)
 	reqs := make([]prefetch.Request, 0, p.degree)
 	// Replay nearest offsets first so a small degree keeps the most
@@ -128,17 +131,11 @@ func (p *Prefetcher) openGeneration(region uint64, pc uint64, off int) {
 // retire moves a finished generation's footprint into the PHT.
 func (p *Prefetcher) retire(g generation) {
 	key := phtKey(g.pc, g.trigger)
-	if _, ok := p.pht[key]; ok && g.footprint == 1<<uint(g.trigger) {
+	if _, ok := p.pht.Find(key); ok && g.footprint == 1<<uint(g.trigger) {
 		// The generation ended before any spatial neighbor was touched
 		// (e.g. it was displaced from the AGT immediately); keep the
 		// learned pattern instead of degrading it to a lone trigger.
 		return
 	}
-	if len(p.pht) >= p.phtCap {
-		for k := range p.pht {
-			delete(p.pht, k)
-			break
-		}
-	}
-	p.pht[key] = g.footprint
+	p.pht.Insert(key, g.footprint)
 }

@@ -1,6 +1,8 @@
 package sms
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -101,8 +103,8 @@ func TestPHTBound(t *testing.T) {
 	for r := uint64(0); r < 100; r++ {
 		touchRegion(p, uint64(r), r, []int{0, 1})
 	}
-	if len(p.pht) > 8 {
-		t.Errorf("PHT grew to %d entries, bound 8", len(p.pht))
+	if p.pht.Len() > 8 {
+		t.Errorf("PHT grew to %d entries, bound 8", p.pht.Len())
 	}
 }
 
@@ -110,3 +112,29 @@ var (
 	_ prefetch.Prefetcher   = (*Prefetcher)(nil)
 	_ prefetch.DegreeSetter = (*Prefetcher)(nil)
 )
+
+// TestFullPHTDeterministic: with the PHT at its cap every retired
+// generation evicts a pattern. The victim must be a function of the
+// access stream, so the same stream replays the same footprints.
+func TestFullPHTDeterministic(t *testing.T) {
+	run := func() []prefetch.Request {
+		rng := rand.New(rand.NewSource(1))
+		p := New(WithTableSizes(1, 8))
+		var out []prefetch.Request
+		for r := uint64(0); r < 5_000; r++ {
+			pc := uint64(rng.Intn(12))
+			first := rng.Intn(4)
+			for _, o := range []int{first, first + 1 + int(pc%3), 9} {
+				out = append(out, p.Train(miss(pc, mem.Line(r*RegionLines)+mem.Line(o)))...)
+			}
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("no prefetches: no pattern was ever replayed")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("the same stream gave %d then %d requests", len(a), len(b))
+	}
+}

@@ -4,6 +4,7 @@
 package stride
 
 import (
+	"repro/internal/flat"
 	"repro/internal/mem"
 	"repro/internal/prefetch"
 )
@@ -12,12 +13,11 @@ type entry struct {
 	lastLine   mem.Line
 	stride     int64
 	confidence int8
-	valid      bool
 }
 
 // Prefetcher is a per-PC stride predictor with 2-bit confidence.
 type Prefetcher struct {
-	table     map[uint64]*entry
+	table     *flat.LRU[entry] // PC -> entry; a new PC evicts the LRU one
 	max       int
 	degree    int
 	maxStride int64
@@ -40,10 +40,11 @@ func WithTableSize(n int) Option {
 // New returns a stride prefetcher (default: 256-entry table, degree 2,
 // strides confined to a 4KB page as in real hardware).
 func New(opts ...Option) *Prefetcher {
-	p := &Prefetcher{table: make(map[uint64]*entry), max: 256, degree: 2, maxStride: 64}
+	p := &Prefetcher{max: 256, degree: 2, maxStride: 64}
 	for _, o := range opts {
 		o(p)
 	}
+	p.table = flat.NewLRU[entry](p.max)
 	return p
 }
 
@@ -55,18 +56,13 @@ func (p *Prefetcher) SetDegree(d int) { p.degree = d }
 
 // Train implements prefetch.Prefetcher.
 func (p *Prefetcher) Train(ev prefetch.Event) []prefetch.Request {
-	e, ok := p.table[ev.PC]
+	slot, ok := p.table.Find(ev.PC)
 	if !ok {
-		if len(p.table) >= p.max {
-			// Cheap clock-style reclamation: drop one arbitrary entry.
-			for pc := range p.table {
-				delete(p.table, pc)
-				break
-			}
-		}
-		p.table[ev.PC] = &entry{lastLine: ev.Line, valid: true}
+		p.table.Insert(ev.PC, entry{lastLine: ev.Line})
 		return nil
 	}
+	p.table.TouchFront(slot)
+	e := p.table.At(slot)
 	stride := int64(ev.Line) - int64(e.lastLine)
 	if stride > p.maxStride || stride < -p.maxStride {
 		// Cross-page jump: hardware stride predictors train only within

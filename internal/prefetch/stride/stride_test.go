@@ -1,6 +1,8 @@
 package stride
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -84,8 +86,8 @@ func TestTableBound(t *testing.T) {
 	for pc := uint64(0); pc < 100; pc++ {
 		p.Train(ev(pc, mem.Line(pc)))
 	}
-	if len(p.table) > 4 {
-		t.Errorf("table grew to %d entries, bound is 4", len(p.table))
+	if p.table.Len() > 4 {
+		t.Errorf("table grew to %d entries, bound is 4", p.table.Len())
 	}
 }
 
@@ -103,3 +105,35 @@ func TestSetDegree(t *testing.T) {
 
 var _ prefetch.Prefetcher = (*Prefetcher)(nil)
 var _ prefetch.DegreeSetter = (*Prefetcher)(nil)
+
+// TestFullTableDeterministic: once more PCs train than the table holds,
+// each new PC evicts one entry. The victim must be a function of the
+// event stream, so the same 300-PC stream gives the same requests.
+func TestFullTableDeterministic(t *testing.T) {
+	run := func() []prefetch.Request {
+		const pcs = 300
+		rng := rand.New(rand.NewSource(1))
+		next := make([]mem.Line, pcs)
+		for i := range next {
+			next[i] = mem.Line(i) << 20
+		}
+		p := New()
+		var out []prefetch.Request
+		for i := 0; i < 20_000; i++ {
+			pc := rng.Intn(pcs)
+			if rng.Intn(4) != 0 {
+				pc = rng.Intn(64) // hot PCs that a good victim keeps
+			}
+			out = append(out, p.Train(ev(uint64(pc), next[pc]))...)
+			next[pc] += mem.Line(1 + pc%3)
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) == 0 {
+		t.Fatal("no prefetches: the stream never trained a stride")
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("the same stream gave %d then %d requests", len(a), len(b))
+	}
+}

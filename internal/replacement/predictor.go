@@ -27,26 +27,31 @@ func NewPredictor(bits uint) *Predictor {
 	return &Predictor{counters: c, mask: uint64(n - 1)}
 }
 
-func (p *Predictor) index(pc uint64) uint64 {
+// Index returns the index of pc's counter. A structure that later
+// detrains the PC (TrainNegativeAt) can hold this in place of the PC.
+func (p *Predictor) Index(pc uint64) uint32 {
 	// CRC-ish mix so nearby PCs spread across the table.
 	h := pc
 	h ^= h >> 33
 	h *= 0xFF51AFD7ED558CCD
 	h ^= h >> 33
-	return h & p.mask
+	return uint32(h & p.mask)
 }
 
 // TrainPositive moves the PC toward cache-friendly.
 func (p *Predictor) TrainPositive(pc uint64) {
-	i := p.index(pc)
+	i := p.Index(pc)
 	if p.counters[i] < predictorMax {
 		p.counters[i]++
 	}
 }
 
 // TrainNegative moves the PC toward cache-averse.
-func (p *Predictor) TrainNegative(pc uint64) {
-	i := p.index(pc)
+func (p *Predictor) TrainNegative(pc uint64) { p.TrainNegativeAt(p.Index(pc)) }
+
+// TrainNegativeAt moves the counter at index i (from Index) toward
+// cache-averse.
+func (p *Predictor) TrainNegativeAt(i uint32) {
 	if p.counters[i] > 0 {
 		p.counters[i]--
 	}
@@ -54,8 +59,8 @@ func (p *Predictor) TrainNegative(pc uint64) {
 
 // Friendly reports whether loads from pc are predicted cache-friendly.
 func (p *Predictor) Friendly(pc uint64) bool {
-	return p.counters[p.index(pc)] >= predictorMid
+	return p.counters[p.Index(pc)] >= predictorMid
 }
 
 // Counter exposes the raw counter value for tests and debugging.
-func (p *Predictor) Counter(pc uint64) uint8 { return p.counters[p.index(pc)] }
+func (p *Predictor) Counter(pc uint64) uint8 { return p.counters[p.Index(pc)] }

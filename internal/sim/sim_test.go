@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -293,5 +295,45 @@ func TestExhaustedTraceStopsCleanly(t *testing.T) {
 	res := m.Run()
 	if res.Cores[0].Instructions != 500 {
 		t.Errorf("measured %d instructions, want 500 (trace length)", res.Cores[0].Instructions)
+	}
+}
+
+// TestManyPCTraceDeterministic: a replayed trace with more load PCs
+// than the L1 stride prefetcher's 256-entry table must give one Result,
+// run after run. The store of finished jobs keys results by their
+// inputs, so equal inputs have to give equal bytes.
+func TestManyPCTraceDeterministic(t *testing.T) {
+	const pcs = 300
+	rng := rand.New(rand.NewSource(1))
+	next := make([]mem.Addr, pcs)
+	for i := range next {
+		next[i] = mem.Addr(i) << 26
+	}
+	var recs []trace.Record
+	for len(recs) < 40_000 {
+		p := rng.Intn(pcs)
+		if rng.Intn(4) != 0 {
+			p = rng.Intn(64) // hot PCs that a good victim keeps
+		}
+		recs = append(recs, trace.Record{PC: 0x400000 + uint64(p)*8, Addr: next[p], Op: trace.Load})
+		next[p] += mem.Addr(mem.LineSize * (1 + p%3))
+		for g := 0; g < 3; g++ {
+			recs = append(recs, trace.Record{PC: 0x300000, Op: trace.NonMem})
+		}
+	}
+	var first Result
+	for i := 0; i < 6; i++ {
+		res := run(t, trace.NewLoopReader(recs), nil, 20_000, 100_000)
+		if i == 0 {
+			first = res
+			if res.L2[0].PrefetchFills == 0 {
+				t.Fatal("the L1 stride prefetcher filled nothing")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d differs from run 0: L2 prefetch fills %d vs %d",
+				i, res.L2[0].PrefetchFills, first.L2[0].PrefetchFills)
+		}
 	}
 }

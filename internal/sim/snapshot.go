@@ -322,11 +322,11 @@ var errSnapshotTooLarge = errors.New("sim: warm snapshot exceeds size cap")
 
 // maxSnapshotBytes caps one saved snapshot. It is set by the machines
 // it must admit, not as a fraction of the budget: the single-core
-// machines (1.6-9.4 MiB, Triage+BO the largest) and 4-core machines up
-// to Triage (MISB 23.0 MiB, Triage 37.3 MiB). It refuses 8-core Triage
-// (74.6 MiB) and 16-core MISB (92.1 MiB): either would evict most of
-// the cache, and its deep copy costs more than the cold warmup it might
-// save.
+// machines (1.6-5.8 MiB, MISB the largest), 4-core machines (Triage
+// 18.4 MiB, MISB 23.1 MiB) and 8-core Triage (36.7 MiB). It refuses
+// 16-core MISB (92.3 MiB) and 16-core Triage (73.4 MiB): either would
+// evict most of the cache, and its deep copy costs more than the cold
+// warmup it might save.
 const maxSnapshotBytes = 64 << 20
 
 // plainKind caches whether a type contains no Go pointers at any depth

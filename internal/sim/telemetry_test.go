@@ -200,26 +200,36 @@ func TestTelemetryOffOverheadGuard(t *testing.T) {
 		slices.Sort(ds)
 		return ds[len(ds)/2]
 	}
-	// Allow a few attempts: CI machines still hiccup. Each attempt
-	// alternates the two paths five times and compares their medians.
-	// On a shared machine a run's speed swings with the load on the
-	// other cores; interleaved runs see the same swings on both paths,
-	// and a median, unlike a minimum, does not rest on one lucky run.
-	// The budget is 2% plus a small absolute slack so sub-millisecond
-	// jitter can't fail a fast run.
+	// Allow a few attempts: CI machines still hiccup. Each attempt runs
+	// seven back-to-back pairs of the two paths and compares the median
+	// pair's difference with the budget. On a shared machine a run's
+	// speed swings with the load on the other cores; the two runs of a
+	// pair see nearly the same load, so their difference cancels it,
+	// and a median does not rest on one lucky or unlucky pair. Pairs
+	// alternate which path runs first, so load that rises or falls
+	// during an attempt favours neither. The budget is 2% plus a small
+	// absolute slack so sub-millisecond jitter can't fail a fast run.
 	const slack = 25 * time.Millisecond
-	var disabled, enabled time.Duration
+	var disabled, overhead time.Duration
 	for attempt := 0; attempt < 3; attempt++ {
-		var ds, es []time.Duration
-		for i := 0; i < 5; i++ {
-			ds = append(ds, run(nil))
-			es = append(es, run(mkHooks()))
+		var ds, diffs []time.Duration
+		for i := 0; i < 7; i++ {
+			var d, e time.Duration
+			if i%2 == 0 {
+				d = run(nil)
+				e = run(mkHooks())
+			} else {
+				e = run(mkHooks())
+				d = run(nil)
+			}
+			ds = append(ds, d)
+			diffs = append(diffs, e-d)
 		}
-		disabled, enabled = median(ds), median(es)
-		if enabled <= disabled+disabled/50+slack {
+		disabled, overhead = median(ds), median(diffs)
+		if overhead <= disabled/50+slack {
 			return
 		}
 	}
-	t.Errorf("telemetry overhead too high: enabled %v vs disabled %v (budget 2%% + %v)",
-		enabled, disabled, slack)
+	t.Errorf("telemetry overhead too high: enabled runs cost %v more than disabled %v (median of 7 pairs; budget 2%% + %v)",
+		overhead, disabled, slack)
 }

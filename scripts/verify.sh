@@ -66,6 +66,18 @@ wait "$resume_pid" || true
 "$smokedir/experiments" -fig fig05 -warmup 200000 -measure 200000 -j 2 \
     -resume "$smokedir/ckpt" -csv "$smokedir/resumed" >/dev/null
 cmp "$smokedir/clean/fig05.csv" "$smokedir/resumed/fig05.csv"
+
+# Golden smoke: the four figures perfbench measures, run with its
+# seed-1 arguments (perfbench/figures.go; -j does not change a figure),
+# must equal its golden tables byte for byte. The checks above only
+# compare runs with each other, which a change that moved every figure
+# the same way would pass.
+"$smokedir/experiments" -fig fig05,fig09,fig11,fig17 -seed 2 -warmup 80000 -measure 80000 \
+    -mwarmup 40000 -mmeasure 40000 -mixes 2 -j 2 -csv "$smokedir/golden" >/dev/null
+for fig in fig05 fig09 fig11 fig17; do
+    cmp "$smokedir/golden/$fig.csv" "perfbench/golden/figures/$fig.csv"
+done
+
 go run ./cmd/triagesim -bench mcf -pf triage-1m -warmup 100000 -measure 200000 \
     -sample 50000 -sampleout "$smokedir/samples.jsonl" \
     -events "$smokedir/events.jsonl" >"$smokedir/triagesim.txt"
