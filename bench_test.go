@@ -555,9 +555,9 @@ func BenchmarkExperimentRegistry(b *testing.B) {
 // --- Step-loop microbenchmarks ---
 //
 // These three isolate the simulator's hot machinery rather than a
-// figure: the batched retirement loop itself, the devirtualized
-// prefetcher dispatch path, and warm-state snapshot restore. Run them
-// with:
+// figure: the batched retirement loop itself, the loop with a Triage
+// prefetcher trained on every L2 event, and warm-state snapshot
+// restore. Run them with:
 //
 //	go test -run '^$' -bench 'StepLoop|PrefetchDispatch|WarmupSnapshot' .
 //
@@ -584,8 +584,8 @@ func BenchmarkStepLoop(b *testing.B) {
 }
 
 // BenchmarkPrefetchDispatch measures the step loop with a Triage
-// prefetcher attached: every L2 event goes through the function-
-// pointer dispatch table resolved at machine construction.
+// prefetcher attached: every L2 event is an interface call to its
+// Train method.
 func BenchmarkPrefetchDispatch(b *testing.B) {
 	spec, _ := workload.ByName("mcf")
 	const instr = 1_000_000

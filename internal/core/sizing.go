@@ -18,21 +18,10 @@ import (
 // The sandboxes observe the *hypothetical* metadata access stream, so
 // they keep learning even while the real store is sized to zero.
 type sizer struct {
-	sampleMask int
-	small      map[int]*replacement.OPTgen    // sampled set -> OPTgen @512KB assoc
-	large      map[int]*replacement.OPTgen    // sampled set -> OPTgen @1MB assoc
-	last       map[int]map[mem.Line]lastTouch // sampled set -> trigger -> last access
-	lastCap    int
-
-	smallAssoc int
-	largeAssoc int
+	opt *replacement.Sandbox // OPTgen at the small and large store
 
 	epochLen  int
 	accesses  int
-	hitsSmall uint64
-	hitsLarge uint64
-	total     uint64
-
 	threshold float64 // 5%
 
 	current int // current choice in bytes
@@ -44,28 +33,19 @@ type sizer struct {
 	// utility-aware extension (see utility.go): net benefit =
 	// metadata hit rate - data hit rate destroyed.
 	utility *dataUtility
-
-	// pinned freezes current (Static mode reuses the sizer purely as a
-	// Hawkeye-OPTgen trainer; its size must never re-decide).
-	pinned bool
 }
 
-// lastTouch records when and from which PC a sampled trigger was last
-// accessed; the PC is the training target for Hawkeye's predictor.
-type lastTouch struct {
-	time uint64
-	pc   uint64
-}
+// The metadata sandboxes sample every 64th metadata set and track at
+// most 2,048 triggers per sampled set.
+const (
+	sampleEvery = 64
+	maxTracked  = 2048
+)
 
 func newSizer(smallBytes, largeBytes, epochLen int) *sizer {
 	return &sizer{
-		sampleMask: 63, // sample every 64th metadata set
-		small:      make(map[int]*replacement.OPTgen),
-		large:      make(map[int]*replacement.OPTgen),
-		last:       make(map[int]map[mem.Line]lastTouch),
-		lastCap:    2048,
-		smallAssoc: smallBytes / bytesPerEntry / metadataSets,
-		largeAssoc: largeBytes / bytesPerEntry / metadataSets,
+		opt: replacement.NewSandbox(sampleEvery, maxTracked,
+			smallBytes/bytesPerEntry/metadataSets, largeBytes/bytesPerEntry/metadataSets),
 		epochLen:   epochLen,
 		threshold:  0.05,
 		smallBytes: smallBytes,
@@ -81,6 +61,11 @@ type trainHint struct {
 	valid  bool
 	optHit bool
 	pc     uint64
+}
+
+// hintAt is the training hint of a sandbox access at its i-th capacity.
+func hintAt(t replacement.Touch, i int) trainHint {
+	return trainHint{valid: t.Seen, optHit: t.Hit(i), pc: t.PrevPC}
 }
 
 // apply trains the predictor from the hint.
@@ -102,72 +87,30 @@ func (h trainHint) apply(pred *replacement.Predictor) {
 // update, which the caller applies immediately for metadata misses and
 // only on useful outcomes for prefetch-generating hits.
 func (z *sizer) observe(l mem.Line, pc uint64) (trainHint, bool) {
-	set := storeSet(l)
-	if set&z.sampleMask != 0 {
-		z.accesses++
-		return trainHint{}, z.maybeEndEpoch()
+	t := z.opt.Access(storeSet(l), l, pc)
+	// Train against OPT at the current provisioning (the small store
+	// when the store is off, so the predictor is warm when the
+	// partition turns on).
+	i := 0
+	if z.current == z.largeBytes {
+		i = 1
 	}
-	so, ok := z.small[set]
-	if !ok {
-		so = replacement.NewOPTgen(z.smallAssoc)
-		z.small[set] = so
-		z.large[set] = replacement.NewOPTgen(z.largeAssoc)
-		z.last[set] = make(map[mem.Line]lastTouch)
-	}
-	lo := z.large[set]
-	lastTimes := z.last[set]
-	prev, seen := lastTimes[l]
-	hitSmall := so.Access(prev.time, seen)
-	hitLarge := lo.Access(prev.time, seen)
-	if hitSmall {
-		z.hitsSmall++
-	}
-	if hitLarge {
-		z.hitsLarge++
-	}
-	z.total++
-	var hint trainHint
-	if seen {
-		// Train against the sandbox matching the current provisioning
-		// (the small sandbox when the store is off, so the predictor is
-		// warm when the partition turns on).
-		hit := hitSmall
-		if z.current == z.largeBytes {
-			hit = hitLarge
-		}
-		hint = trainHint{valid: true, optHit: hit, pc: prev.pc}
-	}
-	if len(lastTimes) >= z.lastCap {
-		// Bound sampler state: drop the stalest tracked trigger.
-		var oldest mem.Line
-		oldestT := ^uint64(0)
-		for line, t := range lastTimes {
-			if t.time < oldestT {
-				oldestT, oldest = t.time, line
-			}
-		}
-		delete(lastTimes, oldest)
-	}
-	lastTimes[l] = lastTouch{time: so.Now() - 1, pc: pc}
 	z.accesses++
-	return hint, z.maybeEndEpoch()
+	return hintAt(t, i), z.maybeEndEpoch()
 }
 
 func (z *sizer) maybeEndEpoch() bool {
 	if z.accesses < z.epochLen {
 		return false
 	}
-	switch {
-	case z.pinned:
-		// Static trainer: keep the configured size.
-	case z.utility != nil:
+	if z.utility != nil {
 		z.recomputeUtility(z.utility)
-		z.utility.resetEpoch()
-	default:
+		z.utility.opt.ResetStats()
+	} else {
 		z.recompute()
 	}
 	z.accesses = 0
-	z.hitsSmall, z.hitsLarge, z.total = 0, 0, 0
+	z.opt.ResetStats()
 	return true
 }
 
@@ -177,12 +120,11 @@ func (z *sizer) maybeEndEpoch() bool {
 // less than the threshold. The deadband between the two prevents
 // flapping (every shrink discards live metadata).
 func (z *sizer) recompute() {
-	if z.total == 0 {
+	hrSmall, hrLarge, ok := z.hitRates()
+	if !ok {
 		z.current = 0
 		return
 	}
-	hrSmall := float64(z.hitsSmall) / float64(z.total)
-	hrLarge := float64(z.hitsLarge) / float64(z.total)
 	deltaLarge := hrLarge - hrSmall
 	shrinkBand := z.threshold * 0.6
 	switch z.current {
@@ -207,6 +149,16 @@ func (z *sizer) recompute() {
 			z.current = z.smallBytes
 		}
 	}
+}
+
+// hitRates returns OPT's metadata hit rates at the small and large
+// store over the epoch; ok is false when no sampled access arrived.
+func (z *sizer) hitRates() (small, large float64, ok bool) {
+	n := float64(z.opt.Accesses())
+	if n == 0 {
+		return 0, 0, false
+	}
+	return float64(z.opt.Hits(0)) / n, float64(z.opt.Hits(1)) / n, true
 }
 
 // desiredBytes returns the current partition choice.

@@ -131,8 +131,7 @@ func (s *store) resize(assoc int) {
 func (s *store) capacityBytes() int { return s.assoc * metadataSets * bytesPerEntry }
 
 // lookup finds the successor of trigger line l. It returns the
-// successor and the way index; ok is false on a metadata miss (or if
-// the compressed successor tag was recycled).
+// successor and the way index; ok is false on a metadata miss.
 func (s *store) lookup(l mem.Line) (next mem.Line, way int, ok bool) {
 	if s.assoc == 0 {
 		return 0, -1, false
@@ -150,12 +149,10 @@ func (s *store) lookup(l mem.Line) (next mem.Line, way int, ok bool) {
 		}
 		i := base + w
 		succ := s.succ[i]
-		full, okNext := s.nextComp.Decompress(succ >> setBits & tagMask)
-		if !okNext {
-			// Successor tag recycled: the entry is stale.
-			s.trig[i] = invalidTrig
-			return 0, -1, false
-		}
+		// Every stored id was handed out by Compress, so it resolves;
+		// a recycled id resolves to its new tag (a misprediction, as in
+		// hardware).
+		full, _ := s.nextComp.Decompress(succ >> setBits & tagMask)
 		if s.trackReuse {
 			n, _ := s.reuse.Get(uint64(l))
 			s.reuse.Set(uint64(l), n+1)

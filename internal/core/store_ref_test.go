@@ -88,11 +88,7 @@ func (s *refStore) lookup(l mem.Line) (next mem.Line, way int, ok bool) {
 			continue
 		}
 		i := base + w
-		full, okNext := s.nextComp.Decompress(s.nextTag[i])
-		if !okNext {
-			s.trig[i] = refInvalidTrig
-			return 0, -1, false
-		}
+		full, _ := s.nextComp.Decompress(s.nextTag[i])
 		return mem.Line(full<<11 | uint64(s.nextSet[i])), w, true
 	}
 	return 0, -1, false

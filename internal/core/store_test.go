@@ -160,15 +160,15 @@ func TestStoreReuseTracking(t *testing.T) {
 }
 
 func TestStoreCompressedTagRecycling(t *testing.T) {
-	// Exhaust the 10-bit successor-tag table. Entries holding recycled
-	// ids either fail lookup (id invalidated) or resolve to the id's
-	// NEW tag — a silent misprediction, exactly what cheap hardware
-	// does; the prefetch is then simply inaccurate. The test pins down
-	// that (a) recycling happens and (b) the store never panics or
-	// corrupts unrelated entries.
+	// Exhaust the 10-bit successor-tag table. An entry holding a
+	// recycled id resolves to the id's NEW tag — a silent misprediction,
+	// exactly what cheap hardware does; the prefetch is then simply
+	// inaccurate. The test pins down that recycling happens, that a
+	// fresh entry still resolves correctly, and that the stale entry
+	// hits with the recycled tag.
 	s := newTestStore(1, false)
 	first := mem.Line(0)
-	s.insert(first, mem.Line(42<<11), 1) // successor tag 42
+	s.insert(first, mem.Line(42<<11), 1) // successor tag 42 takes id 0
 	for i := 1; i <= 1100; i++ {
 		// Different sets, all-new successor tags exhaust the compressor.
 		s.insert(mem.Line(i), mem.Line(uint64(1000+i)<<11), 1)
@@ -176,13 +176,14 @@ func TestStoreCompressedTagRecycling(t *testing.T) {
 	if s.nextComp.Recycled() == 0 {
 		t.Fatal("compressor never recycled despite 1100 distinct tags in a 1024-slot table")
 	}
-	// A recently inserted entry (its tag is fresh) must still resolve
-	// correctly.
 	if next, _, ok := s.lookup(mem.Line(1100)); !ok || next != mem.Line(uint64(1000+1100)<<11) {
 		t.Errorf("fresh entry corrupted: %d, %v", next, ok)
 	}
-	// The stale entry may miss or mispredict, but must not panic.
-	s.lookup(first)
+	// Id 0 was least recently used when the 1024th new tag (1000+1024)
+	// arrived, so it now names that tag.
+	if next, _, ok := s.lookup(first); !ok || next != mem.Line(uint64(1000+1024)<<11) {
+		t.Errorf("stale entry = %d, %v; want a hit on the recycled tag %d", next, ok, 1000+1024)
+	}
 }
 
 // TestStoreMatchesReference drives the packed store and the

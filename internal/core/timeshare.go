@@ -22,19 +22,10 @@ import (
 type timeShareSizer struct {
 	ladder []int // candidate sizes in bytes, ascending, ladder[0] >= 8KB
 	pair   int   // index i: currently modeling ladder[i] vs ladder[i+1]
-
-	sampleMask int
-	small      map[int]*replacement.OPTgen
-	large      map[int]*replacement.OPTgen
-	last       map[int]map[mem.Line]uint64
-	lastCap    int
+	opt    *replacement.Sandbox
 
 	epochLen  int
 	accesses  int
-	hitsSmall uint64
-	hitsLarge uint64
-	total     uint64
-
 	threshold float64
 	current   int // chosen size in bytes (one of ladder or 0)
 }
@@ -51,15 +42,16 @@ func newTimeShareSizer(ladder []int, epochLen int) *timeShareSizer {
 		}
 	}
 	return &timeShareSizer{
-		ladder:     ladder,
-		sampleMask: 63,
-		epochLen:   epochLen,
-		threshold:  0.05,
-		lastCap:    2048,
+		ladder:    ladder,
+		opt:       replacement.NewSandbox(sampleEvery, maxTracked, assocOf(ladder[0]), assocOf(ladder[1])),
+		epochLen:  epochLen,
+		threshold: 0.05,
 	}
 }
 
-func (z *timeShareSizer) assocOf(bytes int) int {
+// assocOf is the per-set capacity of a store of the given size, at
+// least one entry.
+func assocOf(bytes int) int {
 	a := bytes / bytesPerEntry / metadataSets
 	if a < 1 {
 		a = 1
@@ -67,51 +59,10 @@ func (z *timeShareSizer) assocOf(bytes int) int {
 	return a
 }
 
-// rearm points the sandboxes at the current ladder pair, discarding the
-// previous pair's occupancy state (the cost of time-sharing).
-func (z *timeShareSizer) rearm() {
-	z.small = make(map[int]*replacement.OPTgen)
-	z.large = make(map[int]*replacement.OPTgen)
-	z.last = make(map[int]map[mem.Line]uint64)
-	z.hitsSmall, z.hitsLarge, z.total = 0, 0, 0
-}
-
 // observe feeds one metadata access; at epoch boundaries it walks the
 // ladder one rung and re-arms. It reports whether the choice changed.
 func (z *timeShareSizer) observe(l mem.Line) bool {
-	if z.small == nil {
-		z.rearm()
-	}
-	set := storeSet(l)
-	if set&z.sampleMask == 0 {
-		so, ok := z.small[set]
-		if !ok {
-			so = replacement.NewOPTgen(z.assocOf(z.ladder[z.pair]))
-			z.small[set] = so
-			z.large[set] = replacement.NewOPTgen(z.assocOf(z.ladder[z.pair+1]))
-			z.last[set] = make(map[mem.Line]uint64)
-		}
-		lastTimes := z.last[set]
-		prev, seen := lastTimes[l]
-		if so.Access(prev, seen) {
-			z.hitsSmall++
-		}
-		if z.large[set].Access(prev, seen) {
-			z.hitsLarge++
-		}
-		z.total++
-		if len(lastTimes) >= z.lastCap {
-			var oldest mem.Line
-			oldestT := ^uint64(0)
-			for line, t := range lastTimes {
-				if t < oldestT {
-					oldestT, oldest = t, line
-				}
-			}
-			delete(lastTimes, oldest)
-		}
-		lastTimes[l] = so.Now() - 1
-	}
+	z.opt.Access(storeSet(l), l, 0)
 	z.accesses++
 	if z.accesses < z.epochLen {
 		return false
@@ -124,9 +75,9 @@ func (z *timeShareSizer) observe(l mem.Line) bool {
 // evaluation window along the ladder.
 func (z *timeShareSizer) step() bool {
 	prev := z.current
-	if z.total > 0 {
-		hrSmall := float64(z.hitsSmall) / float64(z.total)
-		hrLarge := float64(z.hitsLarge) / float64(z.total)
+	if n := float64(z.opt.Accesses()); n > 0 {
+		hrSmall := float64(z.opt.Hits(0)) / n
+		hrLarge := float64(z.opt.Hits(1)) / n
 		lo, hi := z.ladder[z.pair], z.ladder[z.pair+1]
 		switch {
 		case hrLarge-hrSmall > z.threshold:
@@ -149,7 +100,9 @@ func (z *timeShareSizer) step() bool {
 			z.pair = 0
 		}
 	}
-	z.rearm()
+	// Re-arm at the new pair, discarding the previous pair's occupancy
+	// state (the cost of time-sharing).
+	z.opt.Rearm(assocOf(z.ladder[z.pair]), assocOf(z.ladder[z.pair+1]))
 	return z.current != prev
 }
 

@@ -154,10 +154,12 @@ type Triage struct {
 	// insertion order — exactly the original FIFO.
 	tu *flat.LRU[uint64]
 
-	store       *store
-	sizer       *sizer
-	ladder      *timeShareSizer
-	staticSizer *sizer // pinned OPTgen trainer (Static/Ladder Hawkeye)
+	store  *store
+	sizer  *sizer
+	ladder *timeShareSizer
+	// trainer trains the predictor in Static and Ladder modes under
+	// Hawkeye: OPTgen at the store's full size.
+	trainer *replacement.Sandbox
 
 	// Unlimited-mode table.
 	unl     map[mem.Line]unlEntry
@@ -226,6 +228,9 @@ func New(cfg Config) *Triage {
 		t.store = newStore(assoc, cfg.Replacement == Hawkeye, t.pred)
 		t.store.resize(0)
 		t.ladder = newTimeShareSizer(ladder, cfg.EpochAccesses)
+	}
+	if cfg.Replacement == Hawkeye && (cfg.Mode == Static || cfg.Mode == DynamicLadder) {
+		t.trainer = replacement.NewSandbox(sampleEvery, maxTracked, t.store.maxAssoc)
 	}
 	return t
 }
@@ -449,60 +454,32 @@ func (t *Triage) learn(ev prefetch.Event) {
 	t.store.insert(prev, ev.Line, ev.PC)
 }
 
-// observe feeds a metadata access into the sizing sandboxes (which see
-// every access) and returns the deferred predictor-training hint. In
-// Dynamic mode an epoch boundary also re-applies the store size.
+// observe feeds a metadata access into the sandboxes (which see every
+// access) and returns the deferred predictor-training hint. In Dynamic
+// and Ladder modes an epoch boundary also re-applies the store size.
 func (t *Triage) observe(l mem.Line, pc uint64) trainHint {
-	if t.ladder != nil {
-		if t.ladder.observe(l) {
-			t.store.resize(t.ladder.desiredBytes() / bytesPerEntry / metadataSets)
+	if t.ladder != nil && t.ladder.observe(l) {
+		t.store.resize(t.ladder.desiredBytes() / bytesPerEntry / metadataSets)
+	}
+	var hint trainHint
+	if z := t.sizer; z != nil {
+		if z.utility != nil {
+			// The same event is an LLC data access: feed the utility model.
+			z.utility.observe(l)
+		}
+		var epochEnd bool
+		hint, epochEnd = z.observe(l, pc)
+		if epochEnd {
+			t.store.resize(z.desiredBytes() / bytesPerEntry / metadataSets)
 		}
 	}
-	z := t.activeSizer()
-	if z == nil {
-		return trainHint{}
-	}
-	if z.utility != nil {
-		// The same event is an LLC data access: feed the utility model.
-		z.utility.observe(l)
-	}
-	hint, epochEnd := z.observe(l, pc)
-	if epochEnd && t.sizer != nil {
-		t.store.resize(t.sizer.desiredBytes() / bytesPerEntry / metadataSets)
+	if t.trainer != nil {
+		hint = hintAt(t.trainer.Access(storeSet(l), l, pc), 0)
 	}
 	if t.cfg.Replacement != Hawkeye {
 		return trainHint{} // LRU metadata replacement needs no predictor
 	}
 	return hint
-}
-
-// activeSizer returns the Dynamic-mode sizer, or a lazily created
-// pinned OPTgen trainer (Static and Ladder modes need Hawkeye hints but
-// make their size decisions elsewhere).
-func (t *Triage) activeSizer() *sizer {
-	if t.sizer != nil {
-		return t.sizer
-	}
-	if t.cfg.Replacement != Hawkeye {
-		return nil
-	}
-	if t.cfg.Mode != Static && t.cfg.Mode != DynamicLadder {
-		return nil
-	}
-	if t.staticSizer == nil {
-		size := t.cfg.StaticBytes
-		if t.cfg.Mode == DynamicLadder {
-			size = t.ladder.ladder[len(t.ladder.ladder)-1]
-		}
-		small := size / 2
-		if small < metadataSets*bytesPerEntry {
-			small = metadataSets * bytesPerEntry
-		}
-		t.staticSizer = newSizer(small, size, t.cfg.EpochAccesses)
-		t.staticSizer.current = size // train at the real size
-		t.staticSizer.pinned = true  // never re-decide
-	}
-	return t.staticSizer
 }
 
 // PrefetchOutcome implements prefetch.OutcomeObserver: the deferred

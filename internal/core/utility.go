@@ -19,17 +19,9 @@ import (
 // so the two hit rates are directly comparable: one metadata hit is one
 // covered miss, one lost data hit is one new miss.
 type dataUtility struct {
-	sampleMask int
-	full       map[int]*replacement.OPTgen // LLC ways
-	minusSmall map[int]*replacement.OPTgen // LLC ways - small partition
-	minusLarge map[int]*replacement.OPTgen // LLC ways - large partition
-	last       map[int]map[mem.Line]uint64
-	lastCap    int
-
-	fullWays, smallWays, largeWays int
-
-	hitsFull, hitsMinusSmall, hitsMinusLarge uint64
-	total                                    uint64
+	// opt models the full LLC, the LLC minus the small store and the
+	// LLC minus the large store, in that order.
+	opt *replacement.Sandbox
 }
 
 // llcUtilSets mirrors the LLC's per-core set view (2MB/16-way/64B).
@@ -37,7 +29,7 @@ const llcUtilSets = 2048
 
 // newDataUtility returns a utility estimator for an LLC with fullWays
 // per-core ways, of which the small/large metadata stores would claim
-// smallWays/largeWays.
+// smallWays/largeWays (at most fullWays-1 each).
 func newDataUtility(fullWays, smallWays, largeWays int) *dataUtility {
 	if fullWays-largeWays < 1 {
 		largeWays = fullWays - 1
@@ -45,93 +37,45 @@ func newDataUtility(fullWays, smallWays, largeWays int) *dataUtility {
 	if fullWays-smallWays < 1 {
 		smallWays = fullWays - 1
 	}
-	return &dataUtility{
-		sampleMask: 63,
-		full:       make(map[int]*replacement.OPTgen),
-		minusSmall: make(map[int]*replacement.OPTgen),
-		minusLarge: make(map[int]*replacement.OPTgen),
-		last:       make(map[int]map[mem.Line]uint64),
-		lastCap:    2048,
-		fullWays:   fullWays,
-		smallWays:  smallWays,
-		largeWays:  largeWays,
-	}
+	return &dataUtility{opt: replacement.NewSandbox(sampleEvery, maxTracked,
+		fullWays, fullWays-smallWays, fullWays-largeWays)}
 }
 
 // observe feeds one LLC access (an L2-miss line).
 func (u *dataUtility) observe(l mem.Line) {
-	set := int(uint64(l) & (llcUtilSets - 1))
-	if set&u.sampleMask != 0 {
-		return
+	u.opt.Access(int(uint64(l)&(llcUtilSets-1)), l, 0)
+}
+
+// reducedHits returns OPT's data hits with the small or large
+// partition carved out of the LLC.
+func (u *dataUtility) reducedHits(large bool) uint64 {
+	if large {
+		return u.opt.Hits(2)
 	}
-	f, ok := u.full[set]
-	if !ok {
-		f = replacement.NewOPTgen(u.fullWays)
-		u.full[set] = f
-		u.minusSmall[set] = replacement.NewOPTgen(u.fullWays - u.smallWays)
-		u.minusLarge[set] = replacement.NewOPTgen(u.fullWays - u.largeWays)
-		u.last[set] = make(map[mem.Line]uint64)
-	}
-	lastTimes := u.last[set]
-	prev, seen := lastTimes[l]
-	if f.Access(prev, seen) {
-		u.hitsFull++
-	}
-	if u.minusSmall[set].Access(prev, seen) {
-		u.hitsMinusSmall++
-	}
-	if u.minusLarge[set].Access(prev, seen) {
-		u.hitsMinusLarge++
-	}
-	u.total++
-	if len(lastTimes) >= u.lastCap {
-		var oldest mem.Line
-		oldestT := ^uint64(0)
-		for line, t := range lastTimes {
-			if t < oldestT {
-				oldestT, oldest = t, line
-			}
-		}
-		delete(lastTimes, oldest)
-	}
-	lastTimes[l] = f.Now() - 1
+	return u.opt.Hits(1)
 }
 
 // lossAt returns the estimated data hit-rate loss of carving the
 // small or large partition out of the LLC.
 func (u *dataUtility) lossAt(large bool) float64 {
-	if u.total == 0 {
+	if u.opt.Accesses() == 0 {
 		return 0
 	}
-	reduced := u.hitsMinusSmall
-	if large {
-		reduced = u.hitsMinusLarge
-	}
-	loss := float64(u.hitsFull) - float64(reduced)
+	loss := float64(u.opt.Hits(0)) - float64(u.reducedHits(large))
 	if loss < 0 {
 		loss = 0
 	}
-	return loss / float64(u.total)
+	return loss / float64(u.opt.Accesses())
 }
 
 // missRateAt returns the estimated data miss rate of the LLC with the
 // small or large partition carved out — the fraction of accesses whose
 // prefetch would actually be useful rather than redundant.
 func (u *dataUtility) missRateAt(large bool) float64 {
-	if u.total == 0 {
+	if u.opt.Accesses() == 0 {
 		return 1
 	}
-	reduced := u.hitsMinusSmall
-	if large {
-		reduced = u.hitsMinusLarge
-	}
-	return 1 - float64(reduced)/float64(u.total)
-}
-
-// resetEpoch clears per-epoch counters.
-func (u *dataUtility) resetEpoch() {
-	u.hitsFull, u.hitsMinusSmall, u.hitsMinusLarge = 0, 0, 0
-	u.total = 0
+	return 1 - float64(u.reducedHits(large))/float64(u.opt.Accesses())
 }
 
 // recomputeUtility picks the partition maximizing net benefit. A
@@ -141,12 +85,11 @@ func (u *dataUtility) resetEpoch() {
 // size. The cost is the data hit rate the partition destroys. Both are
 // rates over the same event stream, so they subtract directly.
 func (z *sizer) recomputeUtility(u *dataUtility) {
-	if z.total == 0 {
+	hrSmall, hrLarge, ok := z.hitRates()
+	if !ok {
 		z.current = 0
 		return
 	}
-	hrSmall := float64(z.hitsSmall) / float64(z.total)
-	hrLarge := float64(z.hitsLarge) / float64(z.total)
 	benefitSmall := hrSmall
 	if mr := u.missRateAt(false); mr < benefitSmall {
 		benefitSmall = mr

@@ -78,7 +78,7 @@ func TestDataUtilityLossOrdering(t *testing.T) {
 		state = state*6364136223846793005 + 1442695040888963407
 		u.observe(mem.Line(state % (24 << 10)))
 	}
-	if u.total == 0 {
+	if u.opt.Accesses() == 0 {
 		t.Fatal("no sampled observations")
 	}
 	if u.lossAt(true) < u.lossAt(false) {
@@ -87,8 +87,12 @@ func TestDataUtilityLossOrdering(t *testing.T) {
 }
 
 func TestDataUtilityClampsWays(t *testing.T) {
-	u := newDataUtility(16, 16, 20) // degenerate requests
-	if u.largeWays >= 16 || u.smallWays >= 16 {
-		t.Errorf("ways not clamped: small=%d large=%d", u.smallWays, u.largeWays)
+	// Degenerate requests: unclamped, the reduced-LLC models would get
+	// zero or negative ways and OPTgen would panic at the first sampled
+	// access (set 0).
+	u := newDataUtility(16, 16, 20)
+	u.observe(0)
+	if u.opt.Accesses() != 1 {
+		t.Errorf("sampled accesses = %d, want 1", u.opt.Accesses())
 	}
 }

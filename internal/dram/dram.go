@@ -202,15 +202,3 @@ func (d *DRAM) Access(now uint64, l mem.Line, k Kind) uint64 {
 		return start + d.latencyTicks
 	}
 }
-
-// Utilization returns the fraction of ticks [since, now) during which
-// channel 0 was busy — a coarse bandwidth-pressure signal used by tests.
-func (d *DRAM) BusyUntil() uint64 {
-	var max uint64
-	for _, f := range d.chanFree {
-		if f > max {
-			max = f
-		}
-	}
-	return max
-}

@@ -10,10 +10,10 @@ import "repro/internal/flat"
 //
 // The table is a direct mapping in both directions: full tag -> id and
 // id -> full tag. When the table is full, the least-recently-used id is
-// recycled; metadata entries that still reference the recycled id become
-// stale and will fail verification on their next lookup (Lookup returns
-// ok=false for them), which mirrors the information loss a real
-// fixed-size compression table would suffer.
+// recycled: Lookup of the tag it named now fails, and metadata entries
+// that still hold the id resolve to its new tag, a silent misprediction.
+// That is the information loss a real fixed-size compression table
+// would suffer.
 type TagCompressor struct {
 	bits    uint
 	fwd     *flat.Map // full tag -> compressed id
@@ -81,8 +81,8 @@ func (c *TagCompressor) Lookup(tag uint64) (uint32, bool) {
 	return id, ok
 }
 
-// Decompress returns the full tag for a compressed id. ok is false if
-// the id is unmapped or has been recycled since it was handed out.
+// Decompress returns the full tag for a compressed id: the tag it was
+// last handed out for. ok is false if the id was never handed out.
 func (c *TagCompressor) Decompress(id uint32) (uint64, bool) {
 	if int(id) >= len(c.rev) || !c.revOK[id] {
 		return 0, false

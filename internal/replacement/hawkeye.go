@@ -1,7 +1,5 @@
 package replacement
 
-import "repro/internal/mem"
-
 // Hawkeye implements the Hawkeye replacement policy (Jain & Lin,
 // ISCA'16). A subset of sets is sampled; for those sets OPTgen
 // reconstructs Belady's decisions over an 8x history and trains a
@@ -10,46 +8,28 @@ import "repro/internal/mem"
 // RRPV 7 otherwise; evicting a cache-friendly line detrains the last PC
 // that touched it.
 type Hawkeye struct {
-	ways       int
-	sampleMask int // set & sampleMask == 0 => sampled
-	pred       *Predictor
+	ways int
+	pred *Predictor
+	opt  *Sandbox // OPTgen at ways over the sampled sets
 
 	rrpv     [][]uint8
 	friendly [][]bool
 	lastPC   [][]uint64
-
-	samplers map[int]*setSampler
 }
 
 const hawkeyeMaxRRPV = 7
-
-// setSampler tracks per-line last access times for one sampled set.
-type setSampler struct {
-	opt  *OPTgen
-	last map[mem.Line]sampleEntry
-	cap  int
-}
-
-type sampleEntry struct {
-	time uint64
-	pc   uint64
-}
 
 // NewHawkeye returns a Hawkeye policy for a sets x ways cache. Every
 // sampleEvery-th set is sampled (64 in the original; must be a power of
 // two).
 func NewHawkeye(sets, ways, sampleEvery int, predictorBits uint) *Hawkeye {
-	if !mem.IsPow2(sampleEvery) {
-		panic("replacement: sampleEvery must be a power of two")
-	}
 	h := &Hawkeye{
-		ways:       ways,
-		sampleMask: sampleEvery - 1,
-		pred:       NewPredictor(predictorBits),
-		rrpv:       make([][]uint8, sets),
-		friendly:   make([][]bool, sets),
-		lastPC:     make([][]uint64, sets),
-		samplers:   make(map[int]*setSampler),
+		ways:     ways,
+		pred:     NewPredictor(predictorBits),
+		opt:      NewSandbox(sampleEvery, 16*ways, ways),
+		rrpv:     make([][]uint8, sets),
+		friendly: make([][]bool, sets),
+		lastPC:   make([][]uint64, sets),
 	}
 	for i := range h.rrpv {
 		h.rrpv[i] = make([]uint8, ways)
@@ -69,52 +49,23 @@ func (h *Hawkeye) Name() string { return "hawkeye" }
 // Triage's modified training path).
 func (h *Hawkeye) Predictor() *Predictor { return h.pred }
 
-func (h *Hawkeye) sampled(set int) bool { return set&h.sampleMask == 0 }
-
-func (h *Hawkeye) sampler(set int) *setSampler {
-	s, ok := h.samplers[set]
-	if !ok {
-		s = &setSampler{
-			opt:  NewOPTgen(h.ways),
-			last: make(map[mem.Line]sampleEntry),
-			cap:  16 * h.ways,
-		}
-		h.samplers[set] = s
-	}
-	return s
-}
-
-// observe runs the OPTgen training pass for an access to a sampled set.
+// observe trains the predictor from OPT's decision on an access (a
+// no-op outside the sampled sets).
 func (h *Hawkeye) observe(set int, a Access) {
-	s := h.sampler(set)
-	prev, seen := s.last[a.Line]
-	optHit := s.opt.Access(prev.time, seen)
-	if seen {
-		if optHit {
-			h.pred.TrainPositive(prev.pc)
-		} else {
-			h.pred.TrainNegative(prev.pc)
-		}
+	t := h.opt.Access(set, a.Line, a.PC)
+	if !t.Seen {
+		return
 	}
-	if len(s.last) >= s.cap {
-		// Evict the stalest tracked line to bound sampler state.
-		var oldest mem.Line
-		oldestTime := ^uint64(0)
-		for l, e := range s.last {
-			if e.time < oldestTime {
-				oldestTime, oldest = e.time, l
-			}
-		}
-		delete(s.last, oldest)
+	if t.Hit(0) {
+		h.pred.TrainPositive(t.PrevPC)
+	} else {
+		h.pred.TrainNegative(t.PrevPC)
 	}
-	s.last[a.Line] = sampleEntry{time: s.opt.Now() - 1, pc: a.PC}
 }
 
 // Hit implements Policy.
 func (h *Hawkeye) Hit(set, way int, a Access) {
-	if h.sampled(set) {
-		h.observe(set, a)
-	}
+	h.observe(set, a)
 	friendly := h.pred.Friendly(a.PC)
 	h.friendly[set][way] = friendly
 	h.lastPC[set][way] = a.PC
@@ -127,9 +78,7 @@ func (h *Hawkeye) Hit(set, way int, a Access) {
 
 // Fill implements Policy.
 func (h *Hawkeye) Fill(set, way int, a Access) {
-	if h.sampled(set) {
-		h.observe(set, a)
-	}
+	h.observe(set, a)
 	friendly := h.pred.Friendly(a.PC)
 	h.friendly[set][way] = friendly
 	h.lastPC[set][way] = a.PC

@@ -32,6 +32,19 @@ func TestPredictorTraining(t *testing.T) {
 	}
 }
 
+func TestPredictorBitsValidation(t *testing.T) {
+	for _, bits := range []uint{0, 25} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewPredictor(%d) did not panic", bits)
+				}
+			}()
+			NewPredictor(bits)
+		}()
+	}
+}
+
 func TestPredictorIndependentPCs(t *testing.T) {
 	p := NewPredictor(13)
 	a, b := uint64(0x1000), uint64(0x2000)
@@ -141,4 +154,17 @@ func TestHawkeyeSampleEveryValidation(t *testing.T) {
 		}
 	}()
 	NewHawkeye(8, 4, 3, 8)
+}
+
+func TestHawkeyeSamplerBounded(t *testing.T) {
+	h := NewHawkeye(64, 4, 1, 8) // every set sampled
+	for i := 0; i < 100000; i++ {
+		a := Access{Line: mem.Line(i * 977), PC: uint64(i % 3)}
+		h.Fill(i%64, i%4, a)
+	}
+	for set, s := range h.opt.sets {
+		if len(s.last) > h.opt.maxTracked {
+			t.Fatalf("set %d sampler grew to %d entries (cap %d)", set, len(s.last), h.opt.maxTracked)
+		}
+	}
 }

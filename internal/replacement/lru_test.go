@@ -2,7 +2,6 @@ package replacement
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mem"
 )
@@ -52,81 +51,9 @@ func TestLRUSetsIndependent(t *testing.T) {
 	}
 }
 
-func TestRandomDeterministic(t *testing.T) {
-	a := NewRandom(8, 42)
-	b := NewRandom(8, 42)
-	for i := 0; i < 100; i++ {
-		va := a.Victim(0, Access{}, allValid(8))
-		vb := b.Victim(0, Access{}, allValid(8))
-		if va != vb {
-			t.Fatalf("iteration %d: %d != %d", i, va, vb)
-		}
-		if va < 0 || va >= 8 {
-			t.Fatalf("victim %d out of range", va)
-		}
-	}
-}
-
-func TestRandomPrefersInvalid(t *testing.T) {
-	p := NewRandom(4, 1)
-	valid := []bool{true, false, true, true}
-	if got := p.Victim(0, Access{}, valid); got != 1 {
-		t.Errorf("Victim = %d, want 1", got)
-	}
-}
-
-func TestSRRIPHitPromotion(t *testing.T) {
-	p := NewSRRIP(1, 4, 3)
-	for w := 0; w < 4; w++ {
-		p.Fill(0, w, Access{})
-	}
-	p.Hit(0, 2, Access{})
-	// All lines inserted at 6; after aging, ways 0,1,3 reach 7 first.
-	v := p.Victim(0, Access{}, allValid(4))
-	if v == 2 {
-		t.Error("SRRIP evicted the just-hit way")
-	}
-}
-
-func TestSRRIPVictimAlwaysInRangeProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		p := NewSRRIP(4, 8, 2)
-		for _, op := range ops {
-			set := int(op % 4)
-			way := int(op/4) % 8
-			switch {
-			case op%3 == 0:
-				p.Fill(set, way, Access{})
-			case op%3 == 1:
-				p.Hit(set, way, Access{})
-			default:
-				v := p.Victim(set, Access{}, allValid(8))
-				if v < 0 || v >= 8 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSRRIPBitsValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewSRRIP with 0 bits did not panic")
-		}
-	}()
-	NewSRRIP(1, 1, 0)
-}
-
 // Every policy must implement the Policy interface.
 var (
 	_ Policy = (*LRU)(nil)
-	_ Policy = (*Random)(nil)
-	_ Policy = (*SRRIP)(nil)
 	_ Policy = (*Hawkeye)(nil)
 )
 
@@ -134,8 +61,6 @@ var (
 func TestAllPoliciesVictimInRange(t *testing.T) {
 	policies := []Policy{
 		NewLRU(8, 4),
-		NewRandom(4, 7),
-		NewSRRIP(8, 4, 3),
 		NewHawkeye(8, 4, 2, 8),
 	}
 	for _, p := range policies {

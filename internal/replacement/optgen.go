@@ -12,9 +12,9 @@ package replacement
 // would have kept the line (a hit), and the interval's occupancy is
 // incremented.
 //
-// Triage reuses OPTgen copies as "sandboxes" to estimate the optimal
-// metadata hit rate at candidate metadata-store sizes (paper §3), so
-// hit-rate accounting is part of the exported API.
+// Sandbox runs OPTgen copies on a cache's sampled sets; Triage uses
+// them to estimate the optimal metadata hit rate at candidate
+// metadata-store sizes (paper §3).
 type OPTgen struct {
 	capacity int
 	histSize int

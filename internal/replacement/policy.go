@@ -1,7 +1,8 @@
-// Package replacement provides cache replacement policies: LRU, random,
-// SRRIP, and Hawkeye (Jain & Lin, ISCA'16), which the paper uses both as
-// an LLC policy and — in modified form — as Triage's metadata
-// replacement policy and partition-utility estimator.
+// Package replacement provides cache replacement policies: LRU and
+// Hawkeye (Jain & Lin, ISCA'16), which the paper uses both as an LLC
+// policy and — in modified form — as Triage's metadata replacement
+// policy and partition-utility estimator. Hawkeye's OPTgen sampler is
+// the Sandbox type, which Triage's estimators share.
 package replacement
 
 import "repro/internal/mem"

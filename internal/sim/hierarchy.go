@@ -69,13 +69,10 @@ type hierarchy struct {
 	l1pf []*stride.Prefetcher  // optional per-core L1 stride prefetcher
 	l2pf []prefetch.Prefetcher // per-core L2 prefetcher (may be nil)
 
-	// Devirtualized per-core prefetcher hooks, resolved once in
-	// newHierarchy (and again after a warm-state restore): the Train
-	// entry point as a bound function value and the optional observer
-	// interfaces. The hot path never repeats the type assertions.
-	l2train []func(prefetch.Event) []prefetch.Request
-	l2oo    []prefetch.OutcomeObserver
-	l2fo    []prefetch.FillObserver
+	// Per-core optional prefetcher interfaces, asserted once in
+	// newHierarchy so the hot path never repeats the type assertions.
+	l2oo []prefetch.OutcomeObserver
+	l2fo []prefetch.FillObserver
 
 	// Per-core queueing: demand MSHRs at L1 and L2, and the prefetch
 	// queue below the L2 (finite MLP; what makes prefetching matter).
@@ -190,14 +187,9 @@ func newHierarchy(cfg config.Machine, l2pf []prefetch.Prefetcher, llcPolicy stri
 	return h
 }
 
-// resolveHooks builds the devirtualized dispatch tables from the
-// current per-core prefetcher set. It runs once at construction and
-// once after a warm-state restore replaces the prefetcher objects;
-// bound function values must be rebuilt then because they capture the
-// receiver they were resolved against.
+// resolveHooks asserts the per-core prefetchers' optional interfaces.
 func (h *hierarchy) resolveHooks() {
 	cores := len(h.l2pf)
-	h.l2train = make([]func(prefetch.Event) []prefetch.Request, cores)
 	h.l2oo = make([]prefetch.OutcomeObserver, cores)
 	h.l2fo = make([]prefetch.FillObserver, cores)
 	h.partitioners = make([][]metadataPartitioner, cores)
@@ -205,7 +197,6 @@ func (h *hierarchy) resolveHooks() {
 		if p == nil {
 			continue
 		}
-		h.l2train[c] = p.Train
 		if oo, ok := p.(prefetch.OutcomeObserver); ok {
 			h.l2oo[c] = oo
 		}
@@ -467,15 +458,13 @@ func (h *hierarchy) trainL1(c int, pc uint64, line mem.Line, now uint64) {
 }
 
 // trainL2 feeds one training event to the core's L2 prefetcher and
-// issues the resulting requests. The Train entry point and the outcome
-// observer are the tables resolveHooks built, so the per-event cost is
-// one function-value call with no interface assertions.
+// issues the resulting requests.
 func (h *hierarchy) trainL2(c int, ev prefetch.Event) {
-	train := h.l2train[c]
-	if train == nil {
+	p := h.l2pf[c]
+	if p == nil {
 		return
 	}
-	reqs := train(ev)
+	reqs := p.Train(ev)
 	oo := h.l2oo[c]
 	maxDelay := uint64(h.cfg.DRAMLatencyCycles()) * dram.TicksPerCycle
 	for _, req := range reqs {

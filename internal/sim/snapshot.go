@@ -24,11 +24,11 @@ import (
 // it refuses any state it does not know how to duplicate (non-nil
 // function values, channels, unsafe pointers), so a future field that
 // would break value semantics disables reuse (the run falls back to a
-// cold warmup) instead of corrupting results. Two fields are skipped
-// by name: the hierarchy's devirtualized hook table (l2train, rebuilt
-// by resolveHooks after restore — bound method values captured the old
-// receivers) and each core's trace reader (readers hold rng state that
-// must not be shared; they are fast-forwarded by replay instead).
+// cold warmup) instead of corrupting results. Pointers are copied once
+// each, so the hierarchy's interface views of its prefetchers land on
+// the copied prefetchers. One field is skipped by name: each core's
+// trace reader (readers hold rng state that must not be shared; they
+// are fast-forwarded by replay instead).
 
 // warmSnapshot is one cached post-warmup machine state. hier and cores
 // are pristine deep copies owned by the cache; restores copy them
@@ -244,9 +244,7 @@ func (m *Machine) tryRestoreWarm() (ok bool) {
 			cs.reader.Next()
 		}
 	}
-	// Rebind everything that holds receivers or interface views of the
-	// old object graph.
-	m.hier.resolveHooks()
+	// The machine's probes are interface views of the old prefetchers.
 	m.resolveProbes()
 	return true
 }
@@ -277,24 +275,12 @@ func (m *Machine) snapshot() (*warmSnapshot, error) {
 
 // --- reflection deep copier ---
 
-var (
-	hierarchyType = reflect.TypeOf(hierarchy{})
-	coreStateType = reflect.TypeOf(coreState{})
-)
+var coreStateType = reflect.TypeOf(coreState{})
 
 // skipField names the fields the copier leaves zero in the copy; each
 // has a dedicated rebuild path after restore (see the file comment).
 func skipField(owner reflect.Type, name string) bool {
-	switch owner {
-	case hierarchyType:
-		// Bound method values capture the old hierarchy's prefetchers;
-		// resolveHooks rebuilds them (and the derived observer and
-		// partitioner views) against the copy.
-		return name == "l2train" || name == "l2oo" || name == "l2fo" || name == "partitioners"
-	case coreStateType:
-		return name == "reader"
-	}
-	return false
+	return owner == coreStateType && name == "reader"
 }
 
 type memoKey struct {

@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/prefetch"
+	"repro/internal/prefetch/hybrid"
+	"repro/internal/prefetch/stride"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -177,5 +181,46 @@ func TestWarmKeyCollisionRunsCold(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, collided) {
 		t.Errorf("colliding run differs from a cold run:\ncold:     %+v\ncollided: %+v", cold, collided)
+	}
+}
+
+// TestRestoreRebindsHookViews checks that a restored hierarchy's
+// interface views of its prefetchers (outcome and fill observers,
+// partitioners) are views of the copied prefetchers, which the hot
+// path then drives, and not of the snapshot's.
+func TestRestoreRebindsHookViews(t *testing.T) {
+	wc := GlobalWarmCache()
+	wc.Reset()
+	t.Cleanup(wc.Reset)
+	mcf, _ := workload.ByName("mcf")
+	run := func() *Machine {
+		t.Helper()
+		tri := core.New(core.Config{Mode: core.Dynamic})
+		m, err := New(Options{
+			Machine:             config.Default(1),
+			Workloads:           []trace.Reader{mcf.New(1, 1<<40)},
+			Prefetchers:         []prefetch.Prefetcher{hybrid.New(stride.New(), tri)},
+			WarmupInstructions:  50_000,
+			MeasureInstructions: 10_000,
+			WarmKey:             "hooks",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		return m
+	}
+	run()
+	warm := run()
+	if hits, _, _ := wc.Stats(); hits != 1 {
+		t.Fatalf("%d restores, want 1", hits)
+	}
+	hyb := warm.hier.l2pf[0].(*hybrid.Prefetcher)
+	if warm.hier.l2oo[0] != prefetch.OutcomeObserver(hyb) || warm.hier.l2fo[0] != prefetch.FillObserver(hyb) {
+		t.Errorf("observers %p, %p are not the restored hybrid %p", warm.hier.l2oo[0], warm.hier.l2fo[0], hyb)
+	}
+	tri := hyb.Parts()[1]
+	if got := warm.hier.partitioners[0]; len(got) != 1 || got[0] != tri.(metadataPartitioner) {
+		t.Errorf("partitioners %v are not the restored Triage %p", got, tri)
 	}
 }

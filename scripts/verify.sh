@@ -78,6 +78,18 @@ for fig in fig05 fig09 fig11 fig17; do
     cmp "$smokedir/golden/$fig.csv" "perfbench/golden/figures/$fig.csv"
 done
 
+# Sizing golden smoke: at the windows above Triage never provisions a
+# store or issues a prefetch, so those tables pin no Triage behaviour.
+# At 500K windows it does (mcf prefetches, fig19 allocates ways), so
+# these figures pin the partition sizers, the Hawkeye training and the
+# metadata store (scripts/golden/sizing/, about 15 s on 2 cores).
+"$smokedir/experiments" -fig fig05,fig09,fig19,sens-epoch,ext-utility,ext-ladder,ext-llc-policy \
+    -seed 2 -warmup 500000 -measure 500000 -mwarmup 500000 -mmeasure 400000 -mixes 1 -j 2 \
+    -csv "$smokedir/sizing" >/dev/null
+for fig in fig05 fig09 fig19 sens-epoch ext-utility ext-ladder ext-llc-policy; do
+    cmp "$smokedir/sizing/$fig.csv" "scripts/golden/sizing/$fig.csv"
+done
+
 go run ./cmd/triagesim -bench mcf -pf triage-1m -warmup 100000 -measure 200000 \
     -sample 50000 -sampleout "$smokedir/samples.jsonl" \
     -events "$smokedir/events.jsonl" >"$smokedir/triagesim.txt"
