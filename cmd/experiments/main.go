@@ -14,8 +14,7 @@
 // (see perfbench/README.md).
 //
 // Introspection: -progress prints a live status line (runs, Minstr/s,
-// busy workers, ETA) to stderr; -debughttp ADDR serves expvar counters
-// at http://ADDR/debug/vars; -cpuprofile/-memprofile write pprof
+// busy workers, ETA) to stderr; -cpuprofile/-memprofile write pprof
 // profiles.
 //
 // Fault tolerance: -resume DIR checkpoints completed runs and restarts
@@ -62,7 +61,6 @@ func main() {
 		progress = flag.Bool("progress", false, "print a live progress line to stderr")
 	)
 	wd := cliutil.AddWatchdog(flag.CommandLine)
-	debugHTTP := cliutil.AddDebugHTTP(flag.CommandLine)
 	prof := cliutil.AddProfile(flag.CommandLine)
 	flag.Parse()
 
@@ -115,14 +113,11 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProf()
-	if *progress || *debugHTTP.Addr != "" {
+	if *progress {
 		prog := telemetry.NewPoolProgress(len(selected))
 		pool.SetProgress(prog)
-		if *progress {
-			stop := telemetry.StartPrinter(os.Stderr, prog, 2*time.Second)
-			defer stop()
-		}
-		debugHTTP.Serve(prog, os.Stderr)
+		stop := telemetry.StartPrinter(os.Stderr, prog, 2*time.Second)
+		defer stop()
 	}
 
 	var ck *experiments.Checkpoint

@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -50,7 +49,6 @@ func run() error {
 	nfPlan := flag.String("netfault", "", "seeded server-side fault plan for chaos drills, e.g. seed=7,refuse=0.05 (accepted connections are dropped per plan; see internal/netfault)")
 	prof := cliutil.AddProfile(flag.CommandLine)
 	wd := cliutil.AddWatchdog(flag.CommandLine)
-	dbg := cliutil.AddDebugHTTP(flag.CommandLine)
 	flag.Parse()
 
 	// Install the drain handler before anything is published: a SIGTERM
@@ -95,12 +93,6 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "triaged: cluster coordinator enabled (lease %v) — start triageworker processes to execute jobs\n", *lease)
 	}
-	// Surface the service's metrics snapshot on the process-global
-	// expvar page, so a -debughttp listener's /debug/vars shows it
-	// alongside the runtime's (memstats, cmdline).
-	expvar.Publish("service", expvar.Func(func() any { return srv.MetricsSnapshot() }))
-	dbg.Serve(srv.PoolProgress(), os.Stderr)
-
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return err

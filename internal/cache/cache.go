@@ -120,15 +120,8 @@ type Cache struct {
 	policy replacement.Policy
 	stats  Stats
 	// live counts the valid lines per set. Steady-state sets are full,
-	// so Fill can hand the policy a constant all-valid view (allValid)
-	// instead of rebuilding one from the tag array on every victim
-	// selection.
+	// so Fill skips the scan for an empty way and asks the policy.
 	live []uint16
-	// validScratch backs the per-fill valid-ways view handed to the
-	// policy when the set is not full; reused so Fill allocates
-	// nothing. allValid is permanently true.
-	validScratch []bool
-	allValid     []bool
 }
 
 // New returns a cache with the given geometry and replacement policy.
@@ -143,17 +136,13 @@ func New(name string, sets, ways int, policy replacement.Policy) *Cache {
 	c := &Cache{
 		name: name, sets: sets, ways: ways, dataWays: ways,
 		setMask: uint64(sets - 1), tagShift: mem.Log2(sets),
-		tags:         make([]uint64, n),
-		st:           make([]wayState, n),
-		live:         make([]uint16, sets),
-		policy:       policy,
-		validScratch: make([]bool, ways), allValid: make([]bool, ways),
+		tags:   make([]uint64, n),
+		st:     make([]wayState, n),
+		live:   make([]uint16, sets),
+		policy: policy,
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
-	}
-	for i := range c.allValid {
-		c.allValid[i] = true
 	}
 	return c
 }
@@ -330,15 +319,13 @@ func (c *Cache) Fill(l mem.Line, a replacement.Access, dirty bool, readyTick uin
 		}
 		return Eviction{}
 	}
-	valid := c.allValid[:c.dataWays]
-	if int(c.live[s]) != c.dataWays {
-		valid = c.validScratch[:c.dataWays]
-		for w := range tags {
-			valid[w] = tags[w] != invalidTag
+	// Take the lowest empty way; only a full set asks the policy.
+	w := 0
+	if int(c.live[s]) < c.dataWays {
+		for tags[w] != invalidTag {
+			w++
 		}
-	}
-	w := c.policy.Victim(s, a, valid)
-	if w < 0 || w >= c.dataWays {
+	} else if w = c.policy.Victim(s, c.dataWays); w < 0 || w >= c.dataWays {
 		panic(fmt.Sprintf("cache %s: policy %s returned way %d of %d", c.name, c.policy.Name(), w, c.dataWays))
 	}
 	ev := c.evict(s, w)

@@ -63,6 +63,65 @@ func TestSetConflictEviction(t *testing.T) {
 	}
 }
 
+// strictPolicy is LRU that fails the test when the cache asks it for
+// a victim while the set still has an empty data way.
+type strictPolicy struct {
+	*replacement.LRU
+	t     *testing.T
+	c     *Cache
+	calls int
+}
+
+func (p *strictPolicy) Victim(set, ways int) int {
+	p.calls++
+	for w := 0; w < ways; w++ {
+		if p.c.tags[set*p.c.ways+w] == invalidTag {
+			p.t.Errorf("Victim(set %d) called while way %d is empty", set, w)
+		}
+	}
+	return p.LRU.Victim(set, ways)
+}
+
+// TestFillTakesEmptyWayFirst pins that Fill takes the lowest empty data
+// way itself and asks the policy only when the set is full, including
+// when an invalidation or a partition shrink left the hole.
+func TestFillTakesEmptyWayFirst(t *testing.T) {
+	const ways = 4
+	p := &strictPolicy{LRU: replacement.NewLRU(1, ways), t: t}
+	c := New("test", 1, ways, p)
+	p.c = c
+	fill := func(l mem.Line) { c.Fill(l, replacement.Access{Line: l}, false, 0) }
+	for l := mem.Line(0); l < ways; l++ {
+		fill(l)
+	}
+	// Way 2 empties while way 0 is least recently used: the fill takes
+	// the empty way and evicts nothing.
+	c.Invalidate(2)
+	fill(10)
+	if got := c.lineAt(0, 2); !got.Valid || got.Tag != 10 || !c.Probe(0) {
+		t.Errorf("refill after invalidating way 2 put line 10 elsewhere (way 2 holds %+v)", got)
+	}
+	if p.calls != 0 {
+		t.Fatalf("policy asked %d times while the set had room, want 0", p.calls)
+	}
+	// Full: the policy picks the least recently used line, way 0.
+	fill(11)
+	if p.calls != 1 || c.Probe(0) || c.lineAt(0, 0).Tag != 11 {
+		t.Errorf("full-set fill: %d policy calls, line 0 resident %t, want 1 call evicting line 0",
+			p.calls, c.Probe(0))
+	}
+	// Shrinking the data ways to 2 and growing them back leaves ways 2
+	// and 3 empty: the next two fills take them in order.
+	c.SetDataWays(2)
+	c.SetDataWays(ways)
+	fill(12)
+	fill(13)
+	if c.lineAt(0, 2).Tag != 12 || c.lineAt(0, 3).Tag != 13 || p.calls != 1 {
+		t.Errorf("fills after a regrow: ways 2,3 hold %d,%d with %d policy calls, want 12,13 and 1",
+			c.lineAt(0, 2).Tag, c.lineAt(0, 3).Tag, p.calls)
+	}
+}
+
 func TestEvictionReportsDirty(t *testing.T) {
 	c := newTest(2, 1)
 	l0, l1 := mem.Line(0), mem.Line(2)

@@ -12,14 +12,9 @@ func (c *Cache) CheckInvariants() error {
 		return fmt.Errorf("cache %s: dataWays=%d of %d ways", c.name, c.dataWays, c.ways)
 	}
 	n := c.sets * c.ways
-	if len(c.tags) != n || len(c.st) != n || len(c.live) != c.sets || len(c.validScratch) != c.ways {
+	if len(c.tags) != n || len(c.st) != n || len(c.live) != c.sets {
 		return fmt.Errorf("cache %s: state arrays inconsistent with %dx%d geometry",
 			c.name, c.sets, c.ways)
-	}
-	for i, v := range c.allValid {
-		if !v {
-			return fmt.Errorf("cache %s: allValid[%d] clobbered (policy wrote through the valid view?)", c.name, i)
-		}
 	}
 	for s := 0; s < c.sets; s++ {
 		base := s * c.ways

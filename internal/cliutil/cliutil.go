@@ -1,18 +1,14 @@
 // Package cliutil holds the flag wiring shared by the cmd tools
-// (experiments, sweep, triagesim, tracegen, triaged): pprof profiling,
-// watchdog deadlines, and the expvar debug endpoint. Before it
-// existed, each tool re-declared the same five flags with slightly
-// different help text and teardown order; registering them here keeps
-// the tools from drifting.
+// (experiments, sweep, triagesim, tracegen, triaged): pprof profiling
+// and watchdog deadlines. Before it existed, each tool re-declared the
+// same flags with slightly different help text and teardown order;
+// registering them here keeps the tools from drifting.
 package cliutil
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -74,38 +70,3 @@ func AddWatchdog(fs *flag.FlagSet) *Watchdog {
 
 // Armed reports whether either bound is set.
 func (w *Watchdog) Armed() bool { return *w.Deadline > 0 || *w.Stall > 0 }
-
-// DebugHTTP bundles the -debughttp flag serving live expvar counters.
-type DebugHTTP struct {
-	Addr *string
-}
-
-// AddDebugHTTP registers the flag on fs.
-func AddDebugHTTP(fs *flag.FlagSet) *DebugHTTP {
-	return &DebugHTTP{
-		Addr: fs.String("debughttp", "", "serve expvar live counters on this address (e.g. localhost:6060)"),
-	}
-}
-
-// publishOnce guards the process-global expvar name: tests (and a tool
-// that calls Serve twice) must not panic on re-Publish.
-var publishOnce sync.Once
-
-// Serve publishes prog under the process-global expvar name "pool" and
-// serves /debug/vars on the configured address from a background
-// goroutine. No-op when the flag is unset.
-func (d *DebugHTTP) Serve(prog *telemetry.PoolProgress, stderr io.Writer) {
-	if *d.Addr == "" {
-		return
-	}
-	publishOnce.Do(func() {
-		expvar.Publish("pool", expvar.Func(func() any { return prog.Snapshot() }))
-	})
-	addr := *d.Addr
-	go func() {
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			fmt.Fprintf(stderr, "debughttp: %v\n", err)
-		}
-	}()
-	fmt.Fprintf(stderr, "live counters: http://%s/debug/vars\n", addr)
-}

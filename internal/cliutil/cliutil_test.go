@@ -73,16 +73,3 @@ func TestWatchdogFlags(t *testing.T) {
 		t.Error("stall alone should arm the watchdog")
 	}
 }
-
-func TestDebugHTTPOffIsNoop(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	d := AddDebugHTTP(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	var errBuf bytes.Buffer
-	d.Serve(nil, &errBuf) // unset flag: must not publish or listen
-	if errBuf.Len() != 0 {
-		t.Errorf("disabled debughttp wrote %q", errBuf.String())
-	}
-}

@@ -117,10 +117,10 @@ func TestClusterWorkerKill(t *testing.T) {
 		// The kill was observed: the victim's lease lapsed and its job
 		// requeued onto the survivor.
 		deadline := time.Now().Add(10 * time.Second)
-		for tc.coord.mRequeued.Load() == 0 && time.Now().Before(deadline) {
+		for tc.coord.mRequeued.Value() == 0 && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
-		if tc.coord.mRequeued.Load() == 0 {
+		if tc.coord.mRequeued.Value() == 0 {
 			t.Errorf("cycle %d: no job was requeued after the worker kill", cycle)
 		}
 		if victimSims.Load() == 0 {

@@ -3,7 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/trace"
+	"repro/internal/vfs"
 )
 
 // tinySpec is the canonical fast single-run job (mirrors the service
@@ -380,25 +385,155 @@ func TestClusterMetricsRegistered(t *testing.T) {
 	}
 
 	snap := tc.srv.Registry().Snapshot()
-	for _, name := range []string{
-		"triaged_cluster_workers",
-		"triaged_cluster_leases",
-		"triaged_cluster_assigned_total",
-		"triaged_cluster_requeued_total",
-		"triaged_cluster_results_total",
-		"triaged_worker_inflight_metrics_node",
+	for _, key := range []string{
+		"cluster_workers",
+		"cluster_leases",
+		"cluster_assigned",
+		"cluster_requeued",
+		"cluster_results",
+		"worker_inflight_metrics_node",
 	} {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("metric %s not registered", name)
+		if _, ok := snap[key]; !ok {
+			t.Errorf("metric %s not registered", key)
 		}
 	}
-	if v, _ := snap["triaged_cluster_results_total"].(float64); v < 1 {
-		t.Errorf("triaged_cluster_results_total = %v, want >= 1", snap["triaged_cluster_results_total"])
+	if v, _ := snap["cluster_results"].(int64); v < 1 {
+		t.Errorf("cluster_results = %v, want >= 1", snap["cluster_results"])
+	}
+	// The assigned count reads the same from the status view, the
+	// /metrics JSON and the Prometheus text.
+	assigned := tc.coord.Status().Assigned
+	var m map[string]any
+	tc.getJSON(t, "/metrics", &m)
+	if assigned < 1 || m["cluster_assigned"] != float64(assigned) ||
+		!strings.Contains(prom.String(), fmt.Sprintf("\ntriaged_cluster_assigned_total %d\n", assigned)) {
+		t.Errorf("assigned reads %d in the status view, %v in the JSON; text:\n%s",
+			assigned, m["cluster_assigned"], prom.String())
 	}
 	// Re-registering the same worker name must not panic the registry
 	// (duplicate gauge guard).
 	_, stopW2 := startWorker(t, tc.ts.URL, "metrics-node", nil)
 	stopW2()
+}
+
+// get returns the body of GET path on the cluster's HTTP front.
+func (tc *testCluster) get(t *testing.T, path string) []byte {
+	t.Helper()
+	resp, err := tc.ts.Client().Get(tc.ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return b
+}
+
+// getJSON decodes the body of GET path into v.
+func (tc *testCluster) getJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	if err := json.Unmarshal(tc.get(t, path), v); err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+}
+
+// TestMetricsJSONAgreesWithPrometheus pins the one registry behind
+// both renderings of /metrics, with every kind of metric a coordinator
+// registers: the JSON holds exactly the metrics of the Prometheus text,
+// each under its name without "triaged_" (and, for a counter, without
+// "_total"), with the value the text prints. Workers named x and
+// x_total get two keys, and the keys perfbench reads are numbers.
+func TestMetricsJSONAgreesWithPrometheus(t *testing.T) {
+	faulty := vfs.NewFaulty(vfs.OS{}, vfs.Plan{}) // registers fs_faults_injected
+	tc := startCluster(t, func(c *service.Config) { c.FS = faulty }, nil)
+	defer tc.stop()
+	for _, name := range []string{"x", "x_total"} {
+		_, stop := startWorker(t, tc.ts.URL, name, nil)
+		defer stop()
+	}
+	spec := tinySpec(6)
+	j, _, err := tc.srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, tc.srv, j); st.State != service.StateDone {
+		t.Fatalf("job failed: %s", st.Error)
+	}
+	if _, disp, err := tc.srv.Submit(spec); err != nil || disp != service.DispDeduped {
+		t.Fatalf("resubmission: disposition %v, err %v; want deduped", disp, err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(tc.coord.Status().Workers) < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("workers x and x_total never both registered")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	text := tc.get(t, "/metrics?format=prometheus")
+	var m map[string]any
+	tc.getJSON(t, "/metrics", &m)
+
+	kinds := map[string]string{} // metric name → TYPE
+	samples := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 4 && f[0] == "#" && f[1] == "TYPE":
+			kinds[f[2]] = f[3]
+		case len(f) == 2 && !strings.Contains(f[0], "{"):
+			v, err := strconv.ParseFloat(f[1], 64)
+			if err != nil {
+				t.Fatalf("sample %q: %v", line, err)
+			}
+			samples[f[0]] = v
+		}
+	}
+	owner := map[string]string{} // JSON key → metric name
+	for name, kind := range kinds {
+		key := strings.TrimPrefix(name, "triaged_")
+		if kind == "counter" {
+			key = strings.TrimSuffix(key, "_total")
+		}
+		if prev, dup := owner[key]; dup {
+			t.Errorf("%s and %s both map to JSON key %q", prev, name, key)
+		}
+		owner[key] = name
+		switch v := m[key].(type) {
+		case map[string]any:
+			if kind != "histogram" || v["count"] != samples[name+"_count"] || v["sum"] != samples[name+"_sum"] {
+				t.Errorf("JSON %s = %v; text has %s %s with count %v, sum %v",
+					key, v, kind, name, samples[name+"_count"], samples[name+"_sum"])
+			}
+		case float64:
+			want, ok := samples[name]
+			if key == "uptime_seconds" && v >= want { // the JSON was read later
+				continue
+			}
+			if !ok || v != want {
+				t.Errorf("JSON %s = %v, text %s = %v", key, v, name, want)
+			}
+		default:
+			t.Errorf("JSON has no number or histogram under %q for %s %s (got %v)", key, kind, name, m[key])
+		}
+	}
+	if len(m) != len(kinds) {
+		t.Errorf("JSON has %d keys, the text %d metrics", len(m), len(kinds))
+	}
+	for _, key := range []string{"worker_inflight_x", "worker_inflight_x_total", "fs_faults_injected", "queue_depth_hwm"} {
+		if _, ok := owner[key]; !ok {
+			t.Errorf("no metric renders as JSON key %q", key)
+		}
+	}
+	for _, key := range []string{"deduped", "store_hits", "failed"} {
+		if _, ok := m[key].(float64); !ok {
+			t.Errorf("JSON %s = %v, want a number", key, m[key])
+		}
+	}
+	if m["deduped"] != 1.0 {
+		t.Errorf("JSON deduped = %v after one resubmission, want 1", m["deduped"])
+	}
 }
 
 // makeTrace materializes a small deterministic pointer-ish trace into

@@ -35,9 +35,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/vfs"
 )
@@ -106,14 +106,16 @@ type Coordinator struct {
 	stopc    chan struct{}
 	wg       sync.WaitGroup
 
-	mAssigned    atomic.Int64
-	mRequeued    atomic.Int64
-	mExpired     atomic.Int64
-	mResults     atomic.Int64
-	mDupedUp     atomic.Int64 // duplicate uploads (first result won)
-	mRejected    atomic.Int64 // uploads that failed verification
-	mQuarantines atomic.Int64 // quarantine entries (lifetime)
-	mLogErrors   atomic.Int64
+	// The coordinator's counters live in the server's registry
+	// (registerMetrics registers them); /metrics renders them.
+	mAssigned    *obs.Counter
+	mRequeued    *obs.Counter
+	mExpired     *obs.Counter
+	mResults     *obs.Counter
+	mDupedUp     *obs.Counter // duplicate uploads (first result won)
+	mRejected    *obs.Counter // uploads that failed verification
+	mQuarantines *obs.Counter // quarantine entries (lifetime)
+	mLogErrors   *obs.Counter
 }
 
 // workerState is one registered worker.
@@ -642,10 +644,10 @@ func (c *Coordinator) Status() StatusView {
 		Workers:  make([]WorkerView, 0, len(c.workers)),
 		Leases:   make([]LeaseView, 0, len(c.leases)),
 		Queued:   c.srv.QueueLen(),
-		Assigned: c.mAssigned.Load(),
-		Requeued: c.mRequeued.Load(),
-		Expired:  c.mExpired.Load(),
-		Rejected: c.mRejected.Load(),
+		Assigned: c.mAssigned.Value(),
+		Requeued: c.mRequeued.Value(),
+		Expired:  c.mExpired.Value(),
+		Rejected: c.mRejected.Value(),
 	}
 	for _, ws := range c.workers {
 		v.Workers = append(v.Workers, WorkerView{
@@ -674,8 +676,8 @@ func (c *Coordinator) Status() StatusView {
 	return v
 }
 
-// registerMetrics adds the cluster series to the server's registry
-// (scraped through the same /metrics the service already serves).
+// registerMetrics adds the cluster gauges and counters to the server's
+// registry (scraped through the same /metrics the service serves).
 func (c *Coordinator) registerMetrics() {
 	r := c.srv.Registry()
 	r.GaugeFunc("triaged_cluster_workers", "registered workers", func() float64 {
@@ -700,22 +702,14 @@ func (c *Coordinator) registerMetrics() {
 		}
 		return float64(n)
 	})
-	r.CounterFunc("triaged_cluster_assigned_total", "jobs leased to workers",
-		func() float64 { return float64(c.mAssigned.Load()) })
-	r.CounterFunc("triaged_cluster_requeued_total", "jobs requeued after a lease expired or an upload was rejected",
-		func() float64 { return float64(c.mRequeued.Load()) })
-	r.CounterFunc("triaged_cluster_lease_expired_total", "leases lapsed without a heartbeat",
-		func() float64 { return float64(c.mExpired.Load()) })
-	r.CounterFunc("triaged_cluster_results_total", "results uploaded by workers",
-		func() float64 { return float64(c.mResults.Load()) })
-	r.CounterFunc("triaged_cluster_duplicate_uploads_total", "uploads for jobs that already had a result",
-		func() float64 { return float64(c.mDupedUp.Load()) })
-	r.CounterFunc("triaged_cluster_upload_rejected_total", "uploads that failed verification (nothing persisted)",
-		func() float64 { return float64(c.mRejected.Load()) })
-	r.CounterFunc("triaged_cluster_quarantines_total", "times a worker crossed into quarantine",
-		func() float64 { return float64(c.mQuarantines.Load()) })
-	r.CounterFunc("triaged_cluster_assignlog_errors_total", "assignment-log write failures (audit only)",
-		func() float64 { return float64(c.mLogErrors.Load()) })
+	c.mAssigned = r.Counter("triaged_cluster_assigned_total", "jobs leased to workers")
+	c.mRequeued = r.Counter("triaged_cluster_requeued_total", "jobs requeued after a lease expired or an upload was rejected")
+	c.mExpired = r.Counter("triaged_cluster_lease_expired_total", "leases lapsed without a heartbeat")
+	c.mResults = r.Counter("triaged_cluster_results_total", "results uploaded by workers")
+	c.mDupedUp = r.Counter("triaged_cluster_duplicate_uploads_total", "uploads for jobs that already had a result")
+	c.mRejected = r.Counter("triaged_cluster_upload_rejected_total", "uploads that failed verification (nothing persisted)")
+	c.mQuarantines = r.Counter("triaged_cluster_quarantines_total", "times a worker crossed into quarantine")
+	c.mLogErrors = r.Counter("triaged_cluster_assignlog_errors_total", "assignment-log write failures (audit only)")
 }
 
 // registerWorkerGauge adds a per-worker in-flight gauge the first time

@@ -248,7 +248,7 @@ func TestChaosPartitionDuringUpload(t *testing.T) {
 
 		// The first ack-lost delivery completes the job; the worker's
 		// retried upload must surface as a duplicate, not a second result.
-		if !waitCount(r.tc.coord.mDupedUp.Load, 1, 10*time.Second) {
+		if !waitCount(r.tc.coord.mDupedUp.Value, 1, 10*time.Second) {
 			t.Errorf("cycle %d: retried upload never resolved as a duplicate", cycle)
 		}
 		nfVictim.Restore()
@@ -289,7 +289,7 @@ func TestChaosAsymmetricHeartbeat(t *testing.T) {
 
 		// With the victim parked and silent, its lease must lapse and the
 		// job requeue onto the survivor.
-		if !waitCount(r.tc.coord.mRequeued.Load, 1, 10*time.Second) {
+		if !waitCount(r.tc.coord.mRequeued.Value, 1, 10*time.Second) {
 			t.Fatalf("cycle %d: heartbeat partition never lapsed the lease", cycle)
 		}
 		r.awaitByteIdentical(jobs)
@@ -297,12 +297,12 @@ func TestChaosAsymmetricHeartbeat(t *testing.T) {
 		// Release the zombie: its late upload is a duplicate, never a
 		// second simulation of a durable key (the gate enforces that).
 		close(r.victimRelease)
-		if !waitCount(r.tc.coord.mDupedUp.Load, 1, 10*time.Second) {
+		if !waitCount(r.tc.coord.mDupedUp.Value, 1, 10*time.Second) {
 			t.Errorf("cycle %d: zombie upload never resolved as a duplicate", cycle)
 		}
 		nfVictim.Restore()
 
-		if r.tc.coord.mExpired.Load() == 0 {
+		if r.tc.coord.mExpired.Value() == 0 {
 			t.Errorf("cycle %d: no lease expiry was recorded", cycle)
 		}
 		if nfVictim.Counters()["cut"] == 0 {
@@ -387,10 +387,10 @@ func TestChaosCorruptedUploadQuarantine(t *testing.T) {
 	if tc.srv.HasDurable(j.Key()) {
 		t.Fatal("corrupted payload reached the durable store")
 	}
-	if got := tc.coord.mRejected.Load(); got != 1 {
+	if got := tc.coord.mRejected.Value(); got != 1 {
 		t.Errorf("rejected counter = %d, want 1", got)
 	}
-	if got := tc.coord.mRequeued.Load(); got != 1 {
+	if got := tc.coord.mRequeued.Value(); got != 1 {
 		t.Errorf("requeued counter = %d, want 1 (the job must requeue)", got)
 	}
 	sv := tc.coord.Status()

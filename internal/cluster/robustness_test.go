@@ -422,7 +422,7 @@ func TestHealthDecayReadmission(t *testing.T) {
 	if len(sv.Workers) != 1 || !sv.Workers[0].Quarantined {
 		t.Fatalf("worker not quarantined after a verify reject: %+v", sv.Workers)
 	}
-	if got := tc.coord.mQuarantines.Load(); got != 1 {
+	if got := tc.coord.mQuarantines.Value(); got != 1 {
 		t.Errorf("quarantine entries = %d, want 1", got)
 	}
 

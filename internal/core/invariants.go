@@ -58,10 +58,5 @@ func (t *Triage) CheckInvariants() error {
 			return fmt.Errorf("triage store: capacity %dB but partition wants %dB", got, want)
 		}
 	}
-	if t.store.trackReuse && t.store.reuse != nil {
-		if err := t.store.reuse.CheckInvariants(); err != nil {
-			return fmt.Errorf("triage reuse map: %w", err)
-		}
-	}
 	return nil
 }

@@ -24,10 +24,7 @@ type sizer struct {
 	accesses  int
 	threshold float64 // 5%
 
-	current int // current choice in bytes
-
-	smallBytes int
-	largeBytes int
+	current int // current choice in bytes: 0, smallBytes or largeBytes
 
 	// utility, when non-nil, switches partition decisions to the
 	// utility-aware extension (see utility.go): net benefit =
@@ -42,14 +39,12 @@ const (
 	maxTracked  = 2048
 )
 
-func newSizer(smallBytes, largeBytes, epochLen int) *sizer {
+func newSizer(epochLen int) *sizer {
 	return &sizer{
 		opt: replacement.NewSandbox(sampleEvery, maxTracked,
 			smallBytes/bytesPerEntry/metadataSets, largeBytes/bytesPerEntry/metadataSets),
-		epochLen:   epochLen,
-		threshold:  0.05,
-		smallBytes: smallBytes,
-		largeBytes: largeBytes,
+		epochLen:  epochLen,
+		threshold: 0.05,
 	}
 }
 
@@ -92,7 +87,7 @@ func (z *sizer) observe(l mem.Line, pc uint64) (trainHint, bool) {
 	// when the store is off, so the predictor is warm when the
 	// partition turns on).
 	i := 0
-	if z.current == z.largeBytes {
+	if z.current == largeBytes {
 		i = 1
 	}
 	z.accesses++
@@ -128,25 +123,25 @@ func (z *sizer) recompute() {
 	deltaLarge := hrLarge - hrSmall
 	shrinkBand := z.threshold * 0.6
 	switch z.current {
-	case z.largeBytes:
+	case largeBytes:
 		if deltaLarge < shrinkBand {
 			if hrSmall > z.threshold {
-				z.current = z.smallBytes
+				z.current = smallBytes
 			} else if hrSmall < shrinkBand {
 				z.current = 0
 			}
 		}
-	case z.smallBytes:
+	case smallBytes:
 		if deltaLarge > z.threshold {
-			z.current = z.largeBytes
+			z.current = largeBytes
 		} else if hrSmall < shrinkBand {
 			z.current = 0
 		}
 	default: // off
 		if deltaLarge > z.threshold {
-			z.current = z.largeBytes
+			z.current = largeBytes
 		} else if hrSmall > z.threshold {
-			z.current = z.smallBytes
+			z.current = smallBytes
 		}
 	}
 }

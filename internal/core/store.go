@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/flat"
 	"repro/internal/mem"
 	"repro/internal/replacement"
 )
@@ -63,8 +62,6 @@ type store struct {
 	trigComp     *mem.TagCompressor
 	nextComp     *mem.TagCompressor
 	clock        uint64
-	reuse        *flat.Map // per-trigger reuse counts (Fig 1)
-	trackReuse   bool
 	insertions   uint64
 	replacements uint64
 }
@@ -153,10 +150,6 @@ func (s *store) lookup(l mem.Line) (next mem.Line, way int, ok bool) {
 		// a recycled id resolves to its new tag (a misprediction, as in
 		// hardware).
 		full, _ := s.nextComp.Decompress(succ >> setBits & tagMask)
-		if s.trackReuse {
-			n, _ := s.reuse.Get(uint64(l))
-			s.reuse.Set(uint64(l), n+1)
-		}
 		return mem.Line(full<<setBits | uint64(succ&setMask)), w, true
 	}
 	return 0, -1, false
@@ -217,11 +210,6 @@ func (s *store) insert(l, next mem.Line, pc uint64) {
 	s.trig[i] = trigTag
 	s.succ[i] = succ | confBit
 	s.touch(i, pc)
-	if s.trackReuse && s.reuse != nil {
-		if _, seen := s.reuse.Get(uint64(l)); !seen {
-			s.reuse.Set(uint64(l), 0)
-		}
-	}
 }
 
 // touch records an access by pc in the policy's replacement state.
@@ -279,12 +267,6 @@ func (s *store) victim(setIdx int) int {
 		}
 	}
 	return victim
-}
-
-// enableReuseTracking turns on per-trigger reuse counting (Fig 1).
-func (s *store) enableReuseTracking() {
-	s.trackReuse = true
-	s.reuse = flat.NewMap(0)
 }
 
 // occupancy counts valid entries (tests).

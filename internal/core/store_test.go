@@ -147,18 +147,6 @@ func TestStoreOccupancyBoundProperty(t *testing.T) {
 	}
 }
 
-func TestStoreReuseTracking(t *testing.T) {
-	s := newTestStore(4, false)
-	s.enableReuseTracking()
-	s.insert(1, 2, 1)
-	for i := 0; i < 3; i++ {
-		s.lookup(1)
-	}
-	if got, _ := s.reuse.Get(1); got != 3 {
-		t.Errorf("reuse[1] = %d, want 3", got)
-	}
-}
-
 func TestStoreCompressedTagRecycling(t *testing.T) {
 	// Exhaust the 10-bit successor-tag table. An entry holding a
 	// recycled id resolves to the id's NEW tag — a silent misprediction,

@@ -63,6 +63,15 @@ const (
 	LRU
 )
 
+// The Dynamic modes choose between two metadata store sizes per core
+// (paper: 512KB and 1MB), and the metadata Hawkeye's PC predictor has
+// 2^13 (8K) counters.
+const (
+	smallBytes    = 512 << 10
+	largeBytes    = 1 << 20
+	predictorBits = 13
+)
+
 // Config parameterizes a Triage instance.
 type Config struct {
 	// Mode selects Static, Dynamic or Unlimited provisioning.
@@ -70,10 +79,6 @@ type Config struct {
 	// StaticBytes is the metadata store size in Static mode
 	// (the paper's best static size for a 2MB LLC is 1MB).
 	StaticBytes int
-	// SmallBytes/LargeBytes are the Dynamic mode candidates
-	// (paper: 512KB and 1MB).
-	SmallBytes int
-	LargeBytes int
 	// Replacement picks Hawkeye (default) or LRU for metadata entries.
 	Replacement Replacement
 	// Degree is the prefetch degree (default 1). Each additional degree
@@ -90,19 +95,11 @@ type Config struct {
 	// Ladder lists the candidate store sizes for DynamicLadder mode,
 	// ascending (default 256KB, 512KB, 1MB, 2MB).
 	Ladder []int
-	// PredictorBits sizes the Hawkeye PC predictor (default 13 = 8K).
-	PredictorBits uint
 }
 
 func (c *Config) applyDefaults() {
 	if c.StaticBytes == 0 {
 		c.StaticBytes = 1 << 20
-	}
-	if c.SmallBytes == 0 {
-		c.SmallBytes = 512 << 10
-	}
-	if c.LargeBytes == 0 {
-		c.LargeBytes = 1 << 20
 	}
 	if c.Degree == 0 {
 		c.Degree = 1
@@ -113,23 +110,12 @@ func (c *Config) applyDefaults() {
 	if c.EpochAccesses == 0 {
 		c.EpochAccesses = 50000
 	}
-	if c.PredictorBits == 0 {
-		c.PredictorBits = 13
-	}
 }
 
 func (c *Config) validate() error {
-	for _, v := range []struct {
-		name  string
-		bytes int
-	}{{"StaticBytes", c.StaticBytes}, {"SmallBytes", c.SmallBytes}, {"LargeBytes", c.LargeBytes}} {
-		if v.bytes%(metadataSets*bytesPerEntry) != 0 {
-			return fmt.Errorf("triage: %s = %d is not a multiple of %d (sets x entry size)",
-				v.name, v.bytes, metadataSets*bytesPerEntry)
-		}
-	}
-	if c.SmallBytes >= c.LargeBytes {
-		return fmt.Errorf("triage: SmallBytes %d must be < LargeBytes %d", c.SmallBytes, c.LargeBytes)
+	if c.StaticBytes%(metadataSets*bytesPerEntry) != 0 {
+		return fmt.Errorf("triage: StaticBytes = %d is not a multiple of %d (sets x entry size)",
+			c.StaticBytes, metadataSets*bytesPerEntry)
 	}
 	return nil
 }
@@ -197,7 +183,7 @@ func New(cfg Config) *Triage {
 	t := &Triage{
 		cfg:     cfg,
 		env:     prefetch.NopEnv{},
-		pred:    replacement.NewPredictor(cfg.PredictorBits),
+		pred:    replacement.NewPredictor(predictorBits),
 		tu:      flat.NewLRU[uint64](cfg.TrainingUnitSize),
 		pending: make(map[mem.Line]pendingObs),
 	}
@@ -208,16 +194,16 @@ func New(cfg Config) *Triage {
 		assoc := cfg.StaticBytes / bytesPerEntry / metadataSets
 		t.store = newStore(assoc, cfg.Replacement == Hawkeye, t.pred)
 	case Dynamic, DynamicUtility:
-		assoc := cfg.LargeBytes / bytesPerEntry / metadataSets
+		assoc := largeBytes / bytesPerEntry / metadataSets
 		t.store = newStore(assoc, cfg.Replacement == Hawkeye, t.pred)
 		t.store.resize(0) // start with no partition until proven useful
-		t.sizer = newSizer(cfg.SmallBytes, cfg.LargeBytes, cfg.EpochAccesses)
+		t.sizer = newSizer(cfg.EpochAccesses)
 		if cfg.Mode == DynamicUtility {
 			// Way costs on the per-core 2MB/16-way LLC view.
 			bytesPerWay := metadataSets * mem.LineSize
 			t.sizer.utility = newDataUtility(16,
-				(cfg.SmallBytes+bytesPerWay/2)/bytesPerWay,
-				(cfg.LargeBytes+bytesPerWay/2)/bytesPerWay)
+				(smallBytes+bytesPerWay/2)/bytesPerWay,
+				(largeBytes+bytesPerWay/2)/bytesPerWay)
 		}
 	case DynamicLadder:
 		ladder := cfg.Ladder
@@ -316,33 +302,16 @@ func (t *Triage) LookupHitRate() float64 {
 	return float64(t.lookupHits) / float64(t.lookups)
 }
 
-// EnableReuseTracking records per-trigger reuse counts for the Fig. 1
-// style histogram. Only meaningful before the first Train call.
-func (t *Triage) EnableReuseTracking() {
-	if t.store != nil {
-		t.store.enableReuseTracking()
-	}
-}
-
-// ReuseCounts returns per-trigger metadata reuse counts (Fig. 1). In
-// Unlimited mode every entry is tracked; otherwise tracking must be
-// enabled first.
+// ReuseCounts returns per-trigger metadata reuse counts (Fig. 1). Only
+// Unlimited mode tracks every entry; other modes return nil.
 func (t *Triage) ReuseCounts() []uint64 {
-	if t.cfg.Mode == Unlimited {
-		out := make([]uint64, 0, len(t.unl))
-		for _, e := range t.unl {
-			out = append(out, e.uses)
-		}
-		return out
-	}
-	if t.store == nil || t.store.reuse == nil {
+	if t.cfg.Mode != Unlimited {
 		return nil
 	}
-	out := make([]uint64, 0, t.store.reuse.Len())
-	t.store.reuse.Range(func(_, n uint64) bool {
-		out = append(out, n)
-		return true
-	})
+	out := make([]uint64, 0, len(t.unl))
+	for _, e := range t.unl {
+		out = append(out, e.uses)
+	}
 	return out
 }
 

@@ -255,8 +255,7 @@ func TestLRUReplacementOption(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	for _, cfg := range []Config{
-		{Mode: Static, StaticBytes: 1000},                           // not set-aligned
-		{Mode: Dynamic, SmallBytes: 1 << 20, LargeBytes: 512 << 10}, // inverted
+		{Mode: Static, StaticBytes: 1000}, // not set-aligned
 	} {
 		func() {
 			defer func() {

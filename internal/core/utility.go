@@ -102,10 +102,10 @@ func (z *sizer) recomputeUtility(u *dataUtility) {
 	netLarge := benefitLarge - u.lossAt(true)
 	best, bestNet := 0, 0.0
 	if netSmall > bestNet+z.threshold {
-		best, bestNet = z.smallBytes, netSmall
+		best, bestNet = smallBytes, netSmall
 	}
 	if netLarge > bestNet+z.threshold {
-		best = z.largeBytes
+		best = largeBytes
 	}
 	z.current = best
 }

@@ -4,8 +4,15 @@
 // exposition and JSON, plus per-job tracing with a bounded flight
 // recorder. Everything is stdlib-only and deterministic where it can
 // be: histogram bucket boundaries are fixed (snapshots merge exactly
-// and quantiles are reproducible for reproducible inputs), and both
-// output formats emit metrics in sorted name order.
+// and quantiles are reproducible for reproducible inputs), and the
+// Prometheus text emits metrics in sorted name order.
+//
+// Both renderings read the same metrics. The text uses each metric's
+// full name; the JSON keys it by its name without the service's
+// "triaged_" namespace and, for a counter, without the _total suffix
+// (triaged_store_hits_total → store_hits, triaged_queue_depth →
+// queue_depth). Registration refuses a metric whose name or JSON key
+// is already taken.
 package obs
 
 import (
@@ -64,6 +71,7 @@ const (
 // metric is one registered name.
 type metric struct {
 	name, help string
+	key        string // JSON key
 	kind       string
 	counter    *Counter
 	gauge      *Gauge
@@ -77,23 +85,33 @@ type metric struct {
 // concurrently with metric updates.
 type Registry struct {
 	mu      sync.Mutex
-	metrics map[string]*metric
+	metrics map[string]*metric // by name
+	keys    map[string]bool    // JSON keys taken
 }
+
+// namespace prefixes every metric name of the service; the JSON keys
+// leave it out.
+const namespace = "triaged_"
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: make(map[string]*metric)}
+	return &Registry{metrics: make(map[string]*metric), keys: make(map[string]bool)}
 }
 
-// register panics on duplicate names: metric names are code-owned
-// constants, so a collision is a programming error, not input.
+// register panics on a duplicate name or JSON key: metric names are
+// code-owned, so a collision is a programming error, not input.
 func (r *Registry) register(m *metric) {
+	m.key = strings.TrimPrefix(m.name, namespace)
+	if m.kind == kindCounter {
+		m.key = strings.TrimSuffix(m.key, "_total")
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.metrics[m.name]; dup {
+	if _, dup := r.metrics[m.name]; dup || r.keys[m.key] {
 		panic("obs: duplicate metric " + m.name)
 	}
 	r.metrics[m.name] = m
+	r.keys[m.key] = true
 }
 
 // Counter registers and returns a counter.
@@ -111,8 +129,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // CounterFunc registers a counter whose value is computed at scrape
-// time (bridging counters owned elsewhere, e.g. the cluster
-// coordinator's atomics).
+// time from state owned elsewhere (a cache's own hit counts).
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: kindCounter, fn: fn})
 }
@@ -209,20 +226,21 @@ func histJSON(s HistSnapshot, scale float64) HistJSON {
 	}
 }
 
-// Snapshot renders every metric as a JSON-marshalable map: counters
-// and gauges as numbers, histograms as HistJSON objects.
+// Snapshot renders every metric as a JSON-marshalable map under its
+// JSON key: counters and gauges as numbers, histograms as HistJSON
+// objects.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
 	for _, m := range r.sorted() {
 		switch {
 		case m.hist != nil:
-			out[m.name] = histJSON(m.hist.Snapshot(), m.scale)
+			out[m.key] = histJSON(m.hist.Snapshot(), m.scale)
 		case m.fn != nil:
-			out[m.name] = m.fn()
+			out[m.key] = m.fn()
 		case m.counter != nil:
-			out[m.name] = m.counter.Value()
+			out[m.key] = m.counter.Value()
 		case m.gauge != nil:
-			out[m.name] = m.gauge.Value()
+			out[m.key] = m.gauge.Value()
 		}
 	}
 	return out

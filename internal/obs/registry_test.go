@@ -80,12 +80,15 @@ func TestValidatePrometheusRejectsGarbage(t *testing.T) {
 }
 
 // TestRegistrySnapshotJSON pins the JSON shape: numbers for counters
-// and gauges, HistJSON objects for histograms, all marshalable.
+// and gauges, HistJSON objects for histograms, all marshalable, each
+// under its name without "triaged_" and, for a counter only, without
+// the _total suffix.
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("c", "").Add(5)
-	r.Gauge("g", "").Set(-2)
-	h := r.Histogram("h", "", 1)
+	r.Counter("triaged_c_total", "").Add(5)
+	r.Gauge("triaged_g_total", "").Set(-2)
+	r.CounterFunc("triaged_f_total", "", func() float64 { return 1.5 })
+	h := r.Histogram("triaged_h", "", 1)
 	for i := uint64(1); i <= 100; i++ {
 		h.Observe(i)
 	}
@@ -98,8 +101,8 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back["c"].(float64) != 5 || back["g"].(float64) != -2 {
-		t.Errorf("snapshot numbers wrong: %v", back)
+	if len(back) != 4 || back["c"] != 5.0 || back["g_total"] != -2.0 || back["f"] != 1.5 {
+		t.Errorf("snapshot keys or numbers wrong: %v", back)
 	}
 	hj := back["h"].(map[string]any)
 	if hj["count"].(float64) != 100 || hj["p50"].(float64) <= 0 {
@@ -121,15 +124,28 @@ func TestGaugeSetMax(t *testing.T) {
 	}
 }
 
-// TestDuplicateMetricPanics pins that name collisions are programming
-// errors, caught loudly at registration.
+// TestDuplicateMetricPanics pins that name collisions, and names that
+// map to one JSON key, are programming errors caught loudly at
+// registration.
 func TestDuplicateMetricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration did not panic")
-		}
-	}()
+	for i, reg := range []func(r *Registry){
+		func(r *Registry) { r.Counter("dup", ""); r.Counter("dup", "") },
+		func(r *Registry) { r.Counter("triaged_dup_total", ""); r.Gauge("triaged_dup_total", "") },
+		func(r *Registry) { r.Counter("triaged_dup_total", ""); r.Gauge("triaged_dup", "") },
+		func(r *Registry) { r.Gauge("triaged_dup", ""); r.Histogram("dup", "", 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("case %d: duplicate registration did not panic", i)
+				}
+			}()
+			reg(NewRegistry())
+		}()
+	}
+	// A gauge keeps its _total suffix, so gauges named x and x_total
+	// (workers called x and x_total) do not collide.
 	r := NewRegistry()
-	r.Counter("dup", "")
-	r.Counter("dup", "")
+	r.Gauge("triaged_x", "")
+	r.Gauge("triaged_x_total", "")
 }

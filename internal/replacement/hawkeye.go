@@ -97,21 +97,18 @@ func (h *Hawkeye) Fill(set, way int, a Access) {
 }
 
 // Victim implements Policy.
-func (h *Hawkeye) Victim(set int, _ Access, valid []bool) int {
-	if w := preferInvalid(valid); w >= 0 {
-		return w
-	}
+func (h *Hawkeye) Victim(set, ways int) int {
 	row := h.rrpv[set]
-	// Prefer a cache-averse line (RRPV == 7). Only len(valid) ways are
-	// eligible: a way-partitioned cache passes a shortened slice.
-	for w := 0; w < len(valid); w++ {
+	// Prefer a cache-averse line (RRPV == 7). Only ways 0..ways-1 are
+	// eligible: a way-partitioned cache passes fewer than the set has.
+	for w := 0; w < ways; w++ {
 		if row[w] == hawkeyeMaxRRPV {
 			return w
 		}
 	}
 	// Otherwise evict the oldest friendly line and detrain its PC.
 	victim, maxRRPV := 0, -1
-	for w := 0; w < len(valid); w++ {
+	for w := 0; w < ways; w++ {
 		if int(row[w]) > maxRRPV {
 			maxRRPV, victim = int(row[w]), w
 		}

@@ -68,7 +68,7 @@ func TestHawkeyeEvictsAversePCsFirst(t *testing.T) {
 		h.Fill(0, w, Access{Line: mem.Line(w), PC: friendlyPC})
 	}
 	h.Fill(0, 3, Access{Line: 3, PC: aversePC})
-	v := h.Victim(0, Access{PC: friendlyPC}, allValid(4))
+	v := h.Victim(0, 4)
 	if v != 3 {
 		t.Errorf("Victim = %d, want the cache-averse way 3", v)
 	}
@@ -83,7 +83,7 @@ func TestHawkeyeDetrainsOnFriendlyEviction(t *testing.T) {
 	before := h.Predictor().Counter(pc)
 	h.Fill(0, 0, Access{Line: 1, PC: pc})
 	h.Fill(0, 1, Access{Line: 2, PC: pc})
-	h.Victim(0, Access{PC: pc}, allValid(2)) // must evict a friendly line
+	h.Victim(0, 2) // must evict a friendly line
 	after := h.Predictor().Counter(pc)
 	if after != before-1 {
 		t.Errorf("counter after friendly eviction = %d, want %d", after, before-1)
@@ -126,11 +126,15 @@ func TestHawkeyeBeatsLRUOnScan(t *testing.T) {
 					p.Hit(set, found, a)
 					continue
 				}
-				valid := make([]bool, ways)
-				for w := range cache[set] {
-					valid[w] = cache[set][w].valid
+				// Like the cache, take an empty way before asking the
+				// policy.
+				w := 0
+				for w < ways && cache[set][w].valid {
+					w++
 				}
-				w := p.Victim(set, a, valid)
+				if w == ways {
+					w = p.Victim(set, ways)
+				}
 				cache[set][w] = lineState{line: l, valid: true}
 				p.Fill(set, w, a)
 			}

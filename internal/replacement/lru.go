@@ -27,11 +27,8 @@ func (p *LRU) touch(set, way int) {
 }
 
 // Victim implements Policy.
-func (p *LRU) Victim(set int, _ Access, valid []bool) int {
-	if w := preferInvalid(valid); w >= 0 {
-		return w
-	}
-	stamp := p.stamp[set*p.ways : set*p.ways+len(valid)]
+func (p *LRU) Victim(set, ways int) int {
+	stamp := p.stamp[set*p.ways : set*p.ways+ways]
 	victim, oldest := 0, ^uint64(0)
 	for w := range stamp {
 		if s := stamp[w]; s < oldest {

@@ -6,33 +6,17 @@ import (
 	"repro/internal/mem"
 )
 
-func allValid(ways int) []bool {
-	v := make([]bool, ways)
-	for i := range v {
-		v[i] = true
-	}
-	return v
-}
-
-func TestLRUPrefersInvalid(t *testing.T) {
-	p := NewLRU(4, 4)
-	valid := []bool{true, true, false, true}
-	if got := p.Victim(0, Access{}, valid); got != 2 {
-		t.Errorf("Victim = %d, want invalid way 2", got)
-	}
-}
-
 func TestLRUEvictsLeastRecent(t *testing.T) {
 	p := NewLRU(1, 4)
 	for w := 0; w < 4; w++ {
 		p.Fill(0, w, Access{})
 	}
 	p.Hit(0, 0, Access{}) // way 0 most recent; way 1 now LRU
-	if got := p.Victim(0, Access{}, allValid(4)); got != 1 {
+	if got := p.Victim(0, 4); got != 1 {
 		t.Errorf("Victim = %d, want 1", got)
 	}
 	p.Hit(0, 1, Access{})
-	if got := p.Victim(0, Access{}, allValid(4)); got != 2 {
+	if got := p.Victim(0, 4); got != 2 {
 		t.Errorf("Victim = %d, want 2", got)
 	}
 }
@@ -43,10 +27,10 @@ func TestLRUSetsIndependent(t *testing.T) {
 	p.Fill(0, 1, Access{})
 	p.Fill(1, 1, Access{})
 	p.Fill(1, 0, Access{})
-	if got := p.Victim(0, Access{}, allValid(2)); got != 0 {
+	if got := p.Victim(0, 2); got != 0 {
 		t.Errorf("set 0 Victim = %d, want 0", got)
 	}
-	if got := p.Victim(1, Access{}, allValid(2)); got != 1 {
+	if got := p.Victim(1, 2); got != 1 {
 		t.Errorf("set 1 Victim = %d, want 1", got)
 	}
 }
@@ -67,7 +51,7 @@ func TestAllPoliciesVictimInRange(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			set := i % 8
 			a := Access{Line: mem.Line(i * 37), PC: uint64(i % 5)}
-			v := p.Victim(set, a, allValid(4))
+			v := p.Victim(set, 4)
 			if v < 0 || v >= 4 {
 				t.Fatalf("%s: victim %d out of range", p.Name(), v)
 			}

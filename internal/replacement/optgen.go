@@ -20,8 +20,6 @@ type OPTgen struct {
 	histSize int
 	occ      []uint16
 	now      uint64
-	hits     uint64
-	accesses uint64
 }
 
 // NewOPTgen returns an OPTgen instance for a set with the given
@@ -50,7 +48,6 @@ func (o *OPTgen) Access(lastTime uint64, hasLast bool) bool {
 	o.now++
 	// Zero the slot being reused by the circular window.
 	o.occ[t%uint64(o.histSize)] = 0
-	o.accesses++
 	if !hasLast || t-lastTime >= uint64(o.histSize) || lastTime >= t {
 		// Cold access or interval fell out of the window: OPT miss by
 		// construction (unbounded reuse distance).
@@ -64,27 +61,5 @@ func (o *OPTgen) Access(lastTime uint64, hasLast bool) bool {
 	for i := lastTime; i < t; i++ {
 		o.occ[i%uint64(o.histSize)]++
 	}
-	o.hits++
 	return true
-}
-
-// HitRate returns OPT's hit rate over all accesses seen so far.
-func (o *OPTgen) HitRate() float64 {
-	if o.accesses == 0 {
-		return 0
-	}
-	return float64(o.hits) / float64(o.accesses)
-}
-
-// Hits returns the number of OPT hits recorded.
-func (o *OPTgen) Hits() uint64 { return o.hits }
-
-// Accesses returns the number of accesses recorded.
-func (o *OPTgen) Accesses() uint64 { return o.accesses }
-
-// ResetStats clears hit/access counters, keeping occupancy state. Triage
-// resets its sandboxes at every partition-evaluation epoch.
-func (o *OPTgen) ResetStats() {
-	o.hits = 0
-	o.accesses = 0
 }

@@ -137,23 +137,6 @@ func TestOPTgenWindowExpiry(t *testing.T) {
 	}
 }
 
-func TestOPTgenStats(t *testing.T) {
-	o := NewOPTgen(2)
-	o.Access(0, false)
-	l0 := o.Now() - 1
-	o.Access(l0, true)
-	if o.Accesses() != 2 || o.Hits() != 1 {
-		t.Errorf("accesses=%d hits=%d, want 2,1", o.Accesses(), o.Hits())
-	}
-	if r := o.HitRate(); r != 0.5 {
-		t.Errorf("HitRate = %g, want 0.5", r)
-	}
-	o.ResetStats()
-	if o.Accesses() != 0 || o.Hits() != 0 || o.HitRate() != 0 {
-		t.Error("ResetStats did not clear counters")
-	}
-}
-
 func TestOPTgenCapacityValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -29,18 +29,8 @@ type Policy interface {
 	// Fill notifies the policy that a new line was installed in
 	// (set, way).
 	Fill(set, way int, a Access)
-	// Victim selects the way to evict from set for the incoming access.
-	// valid[w] reports whether way w currently holds a line; policies
-	// must prefer an invalid way when one exists.
-	Victim(set int, a Access, valid []bool) int
-}
-
-// preferInvalid returns the first invalid way, or -1 if all are valid.
-func preferInvalid(valid []bool) int {
-	for w, v := range valid {
-		if !v {
-			return w
-		}
-	}
-	return -1
+	// Victim selects the way to evict from set, which is full and
+	// holds data in ways 0..ways-1. The cache fills empty ways itself
+	// and asks only when none is left.
+	Victim(set, ways int) int
 }

@@ -142,12 +142,12 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 	}
 
 	// Metrics expose the incident.
-	m := srv.MetricsSnapshot()
-	if m["degraded"] != true || m["pending_results"].(int) != 1 || m["degraded_entered"].(int64) < 1 {
+	m := srv.Registry().Snapshot()
+	if m["degraded"] != 1.0 || m["pending_results"] != 1.0 || m["degraded_entered"].(int64) < 1 {
 		t.Errorf("degraded metrics %v", m)
 	}
-	if _, ok := m["fs_faults"]; !ok {
-		t.Error("metrics omit fs_faults although the FS injects faults")
+	if n, ok := m["fs_faults_injected"].(float64); !ok || n < 1 {
+		t.Errorf("metrics show %v fs_faults_injected although the FS injected the fault that degraded the server", m["fs_faults_injected"])
 	}
 
 	// The flight recorder captured the triggering fault as an incident
@@ -169,14 +169,15 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 		t.Errorf("degraded entry did not dump the flight recorder to TraceLog:\n%.400s", dump)
 	}
 
-	// degraded_seconds_total is live while degraded: /metrics exposes
-	// it in both formats and it grows with wall time.
-	if m["degraded_seconds_total"].(float64) < 0 {
-		t.Error("degraded_seconds_total negative")
+	// degraded_seconds (triaged_degraded_seconds_total in the text) is
+	// live while degraded: /metrics exposes it in both formats and it
+	// grows with wall time.
+	if m["degraded_seconds"].(float64) < 0 {
+		t.Error("degraded_seconds negative")
 	}
 	time.Sleep(20 * time.Millisecond)
-	if s2 := srv.MetricsSnapshot()["degraded_seconds_total"].(float64); s2 <= 0 {
-		t.Errorf("degraded_seconds_total = %v after 20ms degraded, want > 0", s2)
+	if s2 := srv.Registry().Snapshot()["degraded_seconds"].(float64); s2 <= 0 {
+		t.Errorf("degraded_seconds = %v after 20ms degraded, want > 0", s2)
 	}
 	promReq, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
 	promReq.Header.Set("Accept", "text/plain")
@@ -203,15 +204,15 @@ func TestDegradedModeAndRecovery(t *testing.T) {
 	if !srv.store.Has(key2) {
 		t.Fatal("recovery did not persist the preserved result")
 	}
-	m = srv.MetricsSnapshot()
-	if m["pending_results"].(int) != 0 || m["recovered"].(int64) != 1 {
+	m = srv.Registry().Snapshot()
+	if m["pending_results"] != 0.0 || m["recovered"].(int64) != 1 {
 		t.Errorf("post-recovery metrics %v", m)
 	}
 	// The episode's duration is folded into the total, which stops
 	// growing once healthy, and the recovery left its own incident.
-	recoveredSecs := m["degraded_seconds_total"].(float64)
+	recoveredSecs := m["degraded_seconds"].(float64)
 	if recoveredSecs <= 0 {
-		t.Error("degraded_seconds_total did not accumulate the episode")
+		t.Error("degraded_seconds did not accumulate the episode")
 	}
 	var sawRecovery bool
 	for _, d := range srv.FlightRecorder().DumpAll() {
@@ -266,7 +267,7 @@ func TestSubmitRejectedWhenAdmissionLogFails(t *testing.T) {
 	if !srv.Degraded() {
 		t.Error("failed admission write did not degrade the server")
 	}
-	if n := srv.MetricsSnapshot()["submitted"].(int64); n != 0 {
+	if n := srv.Registry().Snapshot()["submitted"].(int64); n != 0 {
 		t.Errorf("failed submission counted as submitted (%d)", n)
 	}
 	faulty.Heal() // let cleanup close files cleanly

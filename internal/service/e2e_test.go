@@ -85,7 +85,7 @@ func TestServiceByteIdenticalToDirectRun(t *testing.T) {
 	if !bytes.Equal(directSamples.Bytes(), warmSamples) {
 		t.Error("warm-store sampled series differs from the direct run")
 	}
-	if got := srv2.MetricsSnapshot()["completed"].(int64); got != 0 {
+	if got := srv2.Registry().Snapshot()["completed"].(int64); got != 0 {
 		t.Errorf("warm serve simulated %d jobs, want 0", got)
 	}
 }

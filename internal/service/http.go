@@ -197,7 +197,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.obs.reg.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+	writeJSON(w, http.StatusOK, s.obs.reg.Snapshot())
 }
 
 // handleTrace serves one trace from the flight recorder, addressable

@@ -6,15 +6,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
+	"repro/internal/vfs"
 )
 
 // serverObs bundles the server's observability state: the metric
-// registry behind GET /metrics (Prometheus text and the "obs" section
-// of the JSON snapshot), the latency histograms on the job path, and
-// the flight recorder behind GET /debug/trace.
+// registry behind both renderings of GET /metrics, the latency
+// histograms on the job path, and the flight recorder behind
+// GET /debug/trace.
 type serverObs struct {
 	reg *obs.Registry
 	rec *obs.Recorder
@@ -27,8 +28,8 @@ type serverObs struct {
 
 	// High-water marks advance via Gauge.SetMax; the instantaneous
 	// depth/in-flight values are GaugeFuncs over the live state.
-	gQueueHWM    obs.Gauge
-	gInflightHWM obs.Gauge
+	gQueueHWM    *obs.Gauge
+	gInflightHWM *obs.Gauge
 
 	// Degraded-time accounting: start is the unix-ns timestamp of the
 	// current degraded episode (0 while healthy), accumNS the total of
@@ -39,7 +40,7 @@ type serverObs struct {
 
 // newServerObs builds the registry for one server and registers the
 // server's counters in it (the one store both /metrics renderings
-// read); gauges read the live queue/pool state at scrape time.
+// read); gauges read the live queue/pool/store state at scrape time.
 func newServerObs(s *Server) *serverObs {
 	o := &serverObs{reg: obs.NewRegistry(), rec: obs.NewRecorder(s.cfg.TraceCap)}
 	r := o.reg
@@ -75,10 +76,34 @@ func newServerObs(s *Server) *serverObs {
 			defer s.mu.Unlock()
 			return float64(len(s.pending))
 		})
+	storeCount := func(count func(*experiments.Checkpoint) int) func() float64 {
+		return func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.store == nil {
+				return 0
+			}
+			return float64(count(s.store))
+		}
+	}
 	r.GaugeFunc("triaged_store_len", "results in the content-addressed store",
-		func() float64 { return float64(s.storeLen()) })
+		storeCount((*experiments.Checkpoint).Len))
+	r.GaugeFunc("triaged_store_quarantined", "corrupt store records quarantined when the store opened",
+		storeCount((*experiments.Checkpoint).Quarantined))
 	r.GaugeFunc("triaged_uptime_seconds", "seconds since the server started",
 		func() float64 { return time.Since(s.started).Seconds() })
+	if f, ok := s.fsys.(*vfs.Faulty); ok {
+		r.CounterFunc("triaged_fs_faults_injected_total", "faults the fault-injecting filesystem injected (a torn write counts once)",
+			func() float64 {
+				n := int64(0)
+				for class, c := range f.Counters() {
+					if class != "short_write" { // also counted as a write
+						n += c
+					}
+				}
+				return float64(n)
+			})
+	}
 
 	// The two simulation caches: the process-wide warm-snapshot cache
 	// (single jobs sharing a warm prefix restore from it) and the
@@ -97,6 +122,14 @@ func newServerObs(s *Server) *serverObs {
 	r.CounterFunc("triaged_memo_simulated_total", "figure cells simulated into the pool memo",
 		func() float64 { _, n := s.pool.MemoStats(); return float64(n) })
 
+	// The shared simulation pool's live progress.
+	r.CounterFunc("triaged_pool_instructions_total", "instructions the simulation pool has simulated",
+		func() float64 { return float64(s.prog.Snapshot().Instructions) })
+	r.CounterFunc("triaged_pool_runs_total", "simulations the pool has finished",
+		func() float64 { return float64(s.prog.Snapshot().Runs) })
+	r.GaugeFunc("triaged_pool_busy_workers", "pool workers simulating now",
+		func() float64 { return float64(s.prog.Snapshot().Workers) })
+
 	o.hQueueWait = r.Histogram("triaged_queue_wait_seconds",
 		"admission to run start", 1e-9)
 	o.hRun = r.Histogram("triaged_run_seconds",
@@ -106,12 +139,8 @@ func newServerObs(s *Server) *serverObs {
 	o.hSubmitToResult = r.Histogram("triaged_submit_to_result_seconds",
 		"admission to job completion", 1e-9)
 
-	// Register the HWM gauges by address so SetMax callers and the
-	// scrape path share the same cell.
-	r.GaugeFunc("triaged_queue_depth_hwm", "queue depth high-water mark",
-		func() float64 { return float64(o.gQueueHWM.Value()) })
-	r.GaugeFunc("triaged_inflight_hwm", "in-flight high-water mark",
-		func() float64 { return float64(o.gInflightHWM.Value()) })
+	o.gQueueHWM = r.Gauge("triaged_queue_depth_hwm", "queue depth high-water mark")
+	o.gInflightHWM = r.Gauge("triaged_inflight_hwm", "in-flight high-water mark")
 	return o
 }
 
@@ -159,12 +188,8 @@ func (o *serverObs) dumpFlight(w io.Writer, cause string) {
 }
 
 // Registry exposes the server's metric registry (Prometheus text via
-// WritePrometheus, JSON via Snapshot).
+// WritePrometheus, the /metrics JSON via Snapshot).
 func (s *Server) Registry() *obs.Registry { return s.obs.reg }
 
 // FlightRecorder exposes the bounded trace ring behind /debug/trace.
 func (s *Server) FlightRecorder() *obs.Recorder { return s.obs.rec }
-
-// PoolProgress exposes the live pool counters (cmd/triaged wires them
-// into the -debughttp expvar page).
-func (s *Server) PoolProgress() *telemetry.PoolProgress { return s.prog }

@@ -12,10 +12,9 @@ import (
 )
 
 // TestMetricsPrometheusExposition pins the /metrics content
-// negotiation: JSON by default (the original wire format, unchanged
-// keys), Prometheus text when the Accept header or ?format= asks for
-// it, and the text must be a valid exposition carrying the service
-// counters and latency histograms.
+// negotiation: JSON by default, Prometheus text when the Accept header
+// or ?format= asks for it, and the text must be a valid exposition
+// carrying the service counters and latency histograms.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	srv := newTestServer(t, nil)
 	ts := httptest.NewServer(srv.Handler())
@@ -24,7 +23,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	_, sr := postJob(t, ts, tinySpec(1))
 	waitDone(t, ts, sr.ID)
 
-	// Default: JSON, legacy keys intact plus the new obs section.
+	// Default: JSON, histograms beside the counters.
 	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +36,12 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"submitted", "completed", "queued", "pool", "degraded_seconds_total", "obs"} {
+	for _, key := range []string{"submitted", "completed", "queue_depth", "pool_runs", "degraded_seconds", "submit_to_result_seconds"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("JSON /metrics missing key %q", key)
 		}
 	}
-	ob := m["obs"].(map[string]any)
-	hist := ob["triaged_submit_to_result_seconds"].(map[string]any)
+	hist := m["submit_to_result_seconds"].(map[string]any)
 	if hist["count"].(float64) < 1 {
 		t.Errorf("submit-to-result histogram recorded nothing: %v", hist)
 	}
@@ -293,31 +291,31 @@ func TestMetricsExportCaches(t *testing.T) {
 
 	scale := &FigureScale{Warmup: 10_000, Measure: 30_000, MultiWarmup: 10_000, MultiMeasure: 20_000, Mixes: 1}
 	run(JobSpec{Kind: KindFigure, Figure: "fig05", Scale: scale})
-	simulated := metric("triaged_memo_simulated_total")
-	if simulated == 0 || metric("triaged_memo_hits_total") != 0 {
+	simulated := metric("memo_simulated")
+	if simulated == 0 || metric("memo_hits") != 0 {
 		t.Fatalf("after fig05: memo simulated %v cells with %v hits, want some and none",
-			simulated, metric("triaged_memo_hits_total"))
+			simulated, metric("memo_hits"))
 	}
 	// Fig06 runs exactly fig05's grid.
 	run(JobSpec{Kind: KindFigure, Figure: "fig06", Scale: scale})
-	if got := metric("triaged_memo_simulated_total"); got != simulated {
+	if got := metric("memo_simulated"); got != simulated {
 		t.Errorf("fig06 simulated %v more cells, want 0", got-simulated)
 	}
-	if got := metric("triaged_memo_hits_total"); got < simulated {
+	if got := metric("memo_hits"); got < simulated {
 		t.Errorf("memo hits %v, want at least fig06's %v cells", got, simulated)
 	}
 
-	restores, stores := metric("triaged_warm_restores_total"), metric("triaged_warm_stores_total")
+	restores, stores := metric("warm_restores"), metric("warm_stores")
 	parent := tinySpec(5)
 	parent.Run.Warmup = 20_000
 	run(parent)
-	if metric("triaged_warm_stores_total") <= stores || metric("triaged_warm_held_bytes") <= 0 {
+	if metric("warm_stores") <= stores || metric("warm_held_bytes") <= 0 {
 		t.Error("a single job with a warmup stored no warm snapshot")
 	}
 	child := tinySpec(5)
 	child.Run.Warmup, child.Run.Measure = 20_000, 40_000
 	run(child)
-	if metric("triaged_warm_restores_total") <= restores {
+	if metric("warm_restores") <= restores {
 		t.Error("a single job sharing a warm prefix restored no snapshot")
 	}
 }

@@ -86,12 +86,12 @@ func TestConcurrentSubmitters(t *testing.T) {
 	if len(seen) != distinct {
 		t.Errorf("observed %d distinct job ids, want %d", len(seen), distinct)
 	}
-	m := srv.MetricsSnapshot()
+	m := srv.Registry().Snapshot()
 	if got := m["completed"].(int64); got != distinct {
 		t.Errorf("completed %d simulations, want %d (dedup must collapse the rest)", got, distinct)
 	}
-	if srv.storeLen() != distinct {
-		t.Errorf("store holds %d results, want %d", srv.storeLen(), distinct)
+	if got := m["store_len"]; got != float64(distinct) {
+		t.Errorf("store holds %v results, want %d", got, distinct)
 	}
 }
 
@@ -161,7 +161,7 @@ func TestDrainPersistsQueuedJobs(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !sr.Cached {
 		t.Errorf("finished job resubmit: status %d resp %+v, want 200 cached", resp.StatusCode, sr)
 	}
-	if got := srv2.MetricsSnapshot()["completed"].(int64); got != 3 {
+	if got := srv2.Registry().Snapshot()["completed"].(int64); got != 3 {
 		t.Errorf("restarted server simulated %d jobs, want exactly the 3 queued ones", got)
 	}
 	srv2.Drain()

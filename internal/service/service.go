@@ -732,71 +732,3 @@ func (s *Server) Close() error {
 // Restored returns how many queued jobs the server re-admitted from a
 // previous process's admission log.
 func (s *Server) Restored() int64 { return s.mRestored.Value() }
-
-// faultCounters is implemented by fault-injecting filesystems
-// (vfs.Faulty); when the configured FS has it, the injected-fault
-// counts ride along in /metrics so a chaos run's observability can be
-// asserted, not just its survival.
-type faultCounters interface {
-	Counters() map[string]int64
-}
-
-// MetricsSnapshot renders the service counters plus the live pool
-// snapshot (the /metrics payload, also publishable via expvar.Func).
-func (s *Server) MetricsSnapshot() map[string]any {
-	s.mu.Lock()
-	pendingN := len(s.pending)
-	s.mu.Unlock()
-	m := map[string]any{
-		"submitted":         s.mSubmitted.Value(),
-		"deduped":           s.mDeduped.Value(),
-		"store_hits":        s.mStoreHits.Value(),
-		"rejected_full":     s.mRejectedFull.Value(),
-		"rejected_draining": s.mRejectedDrng.Value(),
-		"rejected_degraded": s.mRejectedDegr.Value(),
-		"completed":         s.mCompleted.Value(),
-		"failed":            s.mFailed.Value(),
-		"running":           s.mRunning.Value(),
-		"restored":          s.mRestored.Value(),
-		"queued":            s.q.len(),
-		"queue_cap":         s.cfg.QueueCap,
-		"workers":           s.cfg.Workers,
-		"draining":          s.draining.Load(),
-		"degraded":          s.degraded.Load(),
-		"store_errors":      s.mStoreErrors.Value(),
-		"degraded_entered":  s.mDegradedIn.Value(),
-		"recovered":         s.mRecovered.Value(),
-		"pending_results":   pendingN,
-		"store_quarantined": s.storeQuarantined(),
-		"uptime_seconds":    time.Since(s.started).Seconds(),
-		"store_len":         s.storeLen(),
-		"pool":              s.prog.Snapshot(),
-		// degraded_seconds_total and the obs section are the registry's
-		// metrics (latency histograms, HWM gauges) rendered as JSON —
-		// the same series /metrics serves as Prometheus text.
-		"degraded_seconds_total": s.obs.degradedSeconds(),
-		"obs":                    s.obs.reg.Snapshot(),
-	}
-	if fc, ok := s.fsys.(faultCounters); ok {
-		m["fs_faults"] = fc.Counters()
-	}
-	return m
-}
-
-func (s *Server) storeLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.store == nil {
-		return 0
-	}
-	return s.store.Len()
-}
-
-func (s *Server) storeQuarantined() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.store == nil {
-		return 0
-	}
-	return s.store.Quarantined()
-}

@@ -261,7 +261,7 @@ func TestDedupSingleFlight(t *testing.T) {
 	}
 	close(gate)
 	waitDone(t, ts, sr1.ID)
-	if got := srv.MetricsSnapshot()["completed"].(int64); got != 1 {
+	if got := srv.Registry().Snapshot()["completed"].(int64); got != 1 {
 		t.Errorf("completed %d jobs, want 1 (dedup must not re-simulate)", got)
 	}
 }
@@ -310,7 +310,7 @@ func TestWarmStoreServes(t *testing.T) {
 	if !bytes.Equal(body1, body2) {
 		t.Error("warm-store result differs from the originally simulated one")
 	}
-	if got := srv2.MetricsSnapshot()["completed"].(int64); got != 0 {
+	if got := srv2.Registry().Snapshot()["completed"].(int64); got != 0 {
 		t.Errorf("warm serve simulated %d jobs, want 0", got)
 	}
 }
@@ -454,7 +454,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(readAll(t, mustGet(t, ts, "/metrics")), &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"submitted", "completed", "queued", "workers", "pool"} {
+	for _, k := range []string{"submitted", "completed", "queue_depth", "workers", "pool_runs"} {
 		if _, ok := m[k]; !ok {
 			t.Errorf("metrics missing %q: %v", k, m)
 		}

@@ -43,9 +43,6 @@ type Options struct {
 	WarmupInstructions uint64
 	// MeasureInstructions per core define the measurement window.
 	MeasureInstructions uint64
-	// DetailedDRAM forces the channel/bank contention model; by default
-	// it is enabled for multi-core machines (paper methodology).
-	DetailedDRAM *bool
 	// NoCapacityLoss gives Triage its metadata store for free (Fig. 9's
 	// "assuming no loss in LLC capacity" study).
 	NoCapacityLoss bool
@@ -204,10 +201,9 @@ func New(opts Options) (*Machine, error) {
 	if pfs == nil {
 		pfs = make([]prefetch.Prefetcher, opts.Machine.Cores)
 	}
+	// Multi-core machines model DRAM channel/bank contention (paper
+	// methodology); a single core gets one fixed-latency bandwidth pipe.
 	detailed := opts.Machine.Cores > 1
-	if opts.DetailedDRAM != nil {
-		detailed = *opts.DetailedDRAM
-	}
 	var tr *telemetry.EventTrace
 	if opts.Telemetry != nil {
 		tr = opts.Telemetry.Events

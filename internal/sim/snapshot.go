@@ -191,13 +191,9 @@ func (m *Machine) warmEligible() bool {
 // collision across different machine shapes is still caught by this
 // signature rather than corrupting a run.
 func (m *Machine) warmSignature() string {
-	detailed := m.opts.Machine.Cores > 1
-	if m.opts.DetailedDRAM != nil {
-		detailed = *m.opts.DetailedDRAM
-	}
 	return fmt.Sprintf("%+v/warm%d/pol%s/dram%v/ncl%v/cores%d",
 		m.opts.Machine, m.opts.WarmupInstructions, m.opts.LLCPolicy,
-		detailed, m.opts.NoCapacityLoss, len(m.cores))
+		m.opts.Machine.Cores > 1, m.opts.NoCapacityLoss, len(m.cores))
 }
 
 // saveWarm deep-copies the machine's post-warmup state into the

@@ -18,6 +18,13 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# One metrics registry (internal/obs): no Go file under cmd/ or
+# internal/ may publish counters through expvar beside it.
+if grep -rl --include='*.go' '"expvar"' cmd internal; then
+    echo "the files above import expvar; export metrics through internal/obs" >&2
+    exit 1
+fi
+
 go build ./...
 go test ./...
 go vet ./...
@@ -126,6 +133,13 @@ cmp "$smokedir/direct-samples.jsonl" "$smokedir/api-samples.jsonl"
 "$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/metrics.prom"
 grep -q '^triaged_submitted_total 1$' "$smokedir/metrics.prom"
 grep -q '^# TYPE triaged_run_seconds histogram$' "$smokedir/metrics.prom"
+# The JSON rendering reads the same registry: the counters perfbench
+# reads are numbers, and submitted matches the text's 1.
+"$smokedir/triagectl" -addr "$addr" metrics >"$smokedir/metrics.json"
+for key in deduped store_hits failed; do
+    grep -Eq "^  \"$key\": [0-9]+,?\$" "$smokedir/metrics.json"
+done
+grep -Eq '^  "submitted": 1,?$' "$smokedir/metrics.json"
 jobid=$("$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
     -warmup 100000 -measure 200000 -sample 50000)
 "$smokedir/triagectl" -addr "$addr" result -o "$smokedir/traced.json" "$jobid"
