@@ -162,22 +162,24 @@ func main() {
 			fmt.Fprintf(os.Stderr, "warning: checkpoint: %v\n", err)
 		}
 	}
-	printCaches(pool)
+	printCaches(pool, runner)
 	if experiments.AnyFailed(tables) {
 		fmt.Fprintln(os.Stderr, "one or more experiments failed (see error rows above)")
 		os.Exit(1)
 	}
 }
 
-// printCaches reports the process's two simulation caches on stderr:
-// the pool memo, which serves duplicate figure cells whole, and the
-// warm-snapshot cache, which figure cells no longer fill.
-func printCaches(pool *experiments.Pool) {
+// printCaches reports the process's simulation caches on stderr: the
+// pool memo, which serves duplicate figure cells whole, the warm-
+// snapshot cache, which figure cells no longer fill, and the runner's
+// graph cache, which shares shuffled chase graphs between cells.
+func printCaches(pool *experiments.Pool, runner *experiments.Runner) {
 	hits, simulated := pool.MemoStats()
 	wc := sim.GlobalWarmCache()
 	restores, misses, stores := wc.Stats()
-	fmt.Fprintf(os.Stderr, "caches: memo %d hits, %d simulated; warm snapshots %d restored, %d missed, %d stored, %.1f MB held\n",
-		hits, simulated, restores, misses, stores, float64(wc.HeldBytes())/1e6)
+	gHits, gBuilt, gHeld := runner.GraphStats()
+	fmt.Fprintf(os.Stderr, "caches: memo %d hits, %d simulated; warm snapshots %d restored, %d missed, %d stored, %.1f MB held; graphs %d hits, %d built, %.1f MB held\n",
+		hits, simulated, restores, misses, stores, float64(wc.HeldBytes())/1e6, gHits, gBuilt, float64(gHeld)/1e6)
 }
 
 func writeCSV(dir, id string, t *experiments.Table) error {

@@ -253,7 +253,12 @@ func (c *Coordinator) sweepLoop() {
 
 // sweep expires lapsed leases, requeueing their jobs in a
 // deterministic order: lease start time, then job id — never the map's
-// iteration order.
+// iteration order. It then forgets every worker that holds no lease
+// and has not been seen for longer than a poll window plus a lease
+// TTL: an idle worker long-polls again within a poll window, so only
+// one that has gone stays silent that long. A forgotten worker's
+// status row, register token and in-flight series go; if it comes
+// back, its next request is refused and it registers afresh.
 func (c *Coordinator) sweep(now time.Time) {
 	c.mu.Lock()
 	var lapsed []*lease
@@ -266,6 +271,16 @@ func (c *Coordinator) sweep(now time.Time) {
 		}
 		lapsed = append(lapsed, l)
 		delete(c.leases, id)
+	}
+	for id, ws := range c.workers {
+		if len(ws.inflight) > 0 || now.Sub(ws.lastSeen) <= c.cfg.PollWindow+c.cfg.LeaseTTL {
+			continue
+		}
+		delete(c.workers, id)
+		if c.tokens[ws.token] == id {
+			delete(c.tokens, ws.token)
+		}
+		c.dropWorkerGaugeLocked(ws.name)
 	}
 	c.mu.Unlock()
 
@@ -712,11 +727,16 @@ func (c *Coordinator) registerMetrics() {
 	c.mLogErrors = r.Counter("triaged_cluster_assignlog_errors_total", "assignment-log write failures (audit only)")
 }
 
+// workerGaugeName is the in-flight series of workers called name.
+func workerGaugeName(name string) string {
+	return "triaged_worker_inflight_" + sanitizeMetricName(name)
+}
+
 // registerWorkerGauge adds a per-worker in-flight gauge the first time
 // a name registers (re-registrations reuse it; the closure counts all
-// live workers carrying the name).
+// registered workers whose names map to the series).
 func (c *Coordinator) registerWorkerGauge(name string) {
-	gname := "triaged_worker_inflight_" + sanitizeMetricName(name)
+	gname := workerGaugeName(name)
 	c.mu.Lock()
 	if c.gauges[gname] {
 		c.mu.Unlock()
@@ -729,12 +749,25 @@ func (c *Coordinator) registerWorkerGauge(name string) {
 		defer c.mu.Unlock()
 		n := 0
 		for _, ws := range c.workers {
-			if ws.name == name {
+			if workerGaugeName(ws.name) == gname {
 				n += len(ws.inflight)
 			}
 		}
 		return float64(n)
 	})
+}
+
+// dropWorkerGaugeLocked removes the in-flight series of a forgotten
+// worker called name unless a registered worker still maps to it.
+func (c *Coordinator) dropWorkerGaugeLocked(name string) {
+	gname := workerGaugeName(name)
+	for _, ws := range c.workers {
+		if workerGaugeName(ws.name) == gname {
+			return
+		}
+	}
+	delete(c.gauges, gname)
+	c.srv.Registry().Remove(gname)
 }
 
 // sanitizeMetricName maps an arbitrary worker name onto the Prometheus

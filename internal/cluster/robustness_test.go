@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -579,5 +581,91 @@ func TestErrorUploadOnlyFromHolder(t *testing.T) {
 	}
 	if fails := assignLogEvents(t, tc, "fail"); len(fails) != 1 || fails[0] != j.ID() {
 		t.Errorf("assign log holds fail events %v, want exactly one for %s", fails, j.ID())
+	}
+}
+
+// workerSeries returns cluster_workers and the per-worker in-flight
+// series of both renderings of /metrics: the Prometheus text's sample
+// names and the JSON's keys.
+func workerSeries(t *testing.T, tc *testCluster) (workers float64, text, keys []string) {
+	t.Helper()
+	for _, line := range strings.Split(string(tc.get(t, "/metrics?format=prometheus")), "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 2 && f[0] == "triaged_cluster_workers":
+			workers, _ = strconv.ParseFloat(f[1], 64)
+		case len(f) == 2 && strings.HasPrefix(f[0], "triaged_worker_inflight_"):
+			text = append(text, f[0])
+		}
+	}
+	var m map[string]any
+	tc.getJSON(t, "/metrics", &m)
+	if m["cluster_workers"] != workers {
+		t.Errorf("cluster_workers reads %v in the JSON, %v in the text", m["cluster_workers"], workers)
+	}
+	for k := range m {
+		if strings.HasPrefix(k, "worker_inflight_") {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(text)
+	sort.Strings(keys)
+	return workers, text, keys
+}
+
+// TestSweepForgetsDepartedWorkers drives sweep by hand. Three workers
+// registered and abandoned in turn are each forgotten once they have
+// been silent for longer than a poll window plus a lease TTL, with
+// their tokens and in-flight series; a worker holding a lease and one
+// that polled within the last poll window stay.
+func TestSweepForgetsDepartedWorkers(t *testing.T) {
+	tc := startCluster(t, nil, func(c *Config) { c.SweepEvery = time.Hour }) // manual sweeps only
+	defer tc.stop()
+	c := tc.coord
+	silent := c.cfg.PollWindow + c.cfg.LeaseTTL
+
+	for _, name := range []string{"gone-a", "gone-b", "gone-c"} {
+		ws := c.register(name, 1, "tok-"+name)
+		if n, text, _ := workerSeries(t, tc); n != 1 || len(text) != 1 {
+			t.Fatalf("after registering %s: %v workers, series %v", name, n, text)
+		}
+		c.mu.Lock()
+		seen := ws.lastSeen
+		c.mu.Unlock()
+		c.sweep(seen.Add(silent))
+		if n := len(c.Status().Workers); n != 1 {
+			t.Fatalf("%s was forgotten after exactly a poll window plus a lease TTL", name)
+		}
+		c.sweep(seen.Add(silent + time.Millisecond))
+	}
+	if n, text, keys := workerSeries(t, tc); n != 0 || len(text) != 0 || len(keys) != 0 {
+		t.Fatalf("after three departures: %v workers, text series %v, JSON keys %v", n, text, keys)
+	}
+	c.mu.Lock()
+	tokens, gauges := len(c.tokens), len(c.gauges)
+	c.mu.Unlock()
+	if tokens != 0 || gauges != 0 {
+		t.Fatalf("%d register tokens and %d gauge names outlive the workers", tokens, gauges)
+	}
+
+	leased := c.register("leased", 1, "tok-leased")
+	poller := c.register("poller", 1, "tok-poller")
+	if _, _, err := tc.srv.Submit(cloneSpec(tinySpec(9100))); err != nil {
+		t.Fatal(err)
+	}
+	c.assign(recvJob(t, tc), leased)
+	at := time.Now().Add(silent + time.Minute)
+	c.mu.Lock()
+	for _, l := range c.leases {
+		l.expires = at.Add(time.Minute) // renewed by heartbeats
+	}
+	poller.lastSeen = at.Add(-c.cfg.PollWindow)
+	c.mu.Unlock()
+	c.sweep(at)
+	n, text, keys := workerSeries(t, tc)
+	want := []string{"triaged_worker_inflight_leased", "triaged_worker_inflight_poller"}
+	if n != 2 || strings.Join(text, ",") != strings.Join(want, ",") ||
+		strings.Join(keys, ",") != "worker_inflight_leased,worker_inflight_poller" {
+		t.Fatalf("a leased and a polling worker: %v workers, text series %v, JSON keys %v", n, text, keys)
 	}
 }

@@ -35,6 +35,10 @@ type Runner struct {
 	// satisfies repeat keys from disk (resume of an interrupted sweep).
 	ckpt *Checkpoint
 
+	// graphs shares shuffled chase graphs between the readers this
+	// runner's cells build.
+	graphs *workload.Graphs
+
 	runs     atomic.Uint64
 	simInstr atomic.Uint64
 	restored atomic.Uint64
@@ -60,8 +64,12 @@ func NewRunnerPool(p Params, pool *Pool) *Runner {
 	if p.CheckEvery > 0 {
 		ns += fmt.Sprintf("check%d/", p.CheckEvery)
 	}
-	return &Runner{P: p, pool: pool, memoNS: ns, used: make(map[string]*memoCell)}
+	return &Runner{P: p, pool: pool, memoNS: ns, used: make(map[string]*memoCell), graphs: workload.NewGraphs()}
 }
+
+// GraphStats reports the runner's graph cache: chase readers served a
+// cached graph, graphs shuffled, and the bytes of graphs held.
+func (r *Runner) GraphStats() (hits, built uint64, heldBytes int64) { return r.graphs.Stats() }
 
 // namedPF pairs a display name with a prefetcher factory.
 //

@@ -1,0 +1,78 @@
+package experiments
+
+import (
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/prefetch"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// TestMutatedCellBuildsOnce checks that a mutated single-core cell
+// builds its reader and its prefetcher once, for the mutated machine.
+func TestMutatedCellBuildsOnce(t *testing.T) {
+	spec, _ := workload.ByName("mcf")
+	g := workload.NewGraphs()
+	builds := 0
+	factory := func(m config.Machine) prefetch.Prefetcher {
+		builds++
+		if m.LLCExtraLatency != 7 {
+			t.Errorf("prefetcher built for LLCExtraLatency %d, want the mutated 7", m.LLCExtraLatency)
+		}
+		return pfTriageStatic(512 << 10)(m)
+	}
+	p := tinyParams()
+	p.Warmup, p.Measure = 2000, 2000
+	runSingle(p, g, spec, factory, func(o *sim.Options) { o.Machine.LLCExtraLatency = 7 }, nil)
+	hits, built, _ := g.Stats()
+	if builds != 1 || hits+built != 1 {
+		t.Fatalf("one mutated cell built %d prefetchers and %d chase readers, want 1 and 1", builds, hits+built)
+	}
+}
+
+// TestGraphCountsRepeat runs the figures perfbench's figures workload
+// runs, with its seed and mix count, on a one-worker pool twice. Cells
+// start in the same order every time there, so the graph cache's counts
+// repeat exactly, at the 184 hits and 122 builds a replay of that order
+// through an 8 MiB LRU gives (EXPERIMENTS.md, "Graph cache"); every chase
+// reader the cells build is either a hit or a build. The windows are
+// tiny because they do not change which readers are built: fig05, fig09
+// and fig11 build 126 single-core readers, and fig17 180 (two mixes at
+// 2, 4, 8 and 16 cores, each run without a prefetcher, with MISB and
+// with Triage-Dynamic).
+func TestGraphCountsRepeat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test")
+	}
+	p := Params{Warmup: 1000, Measure: 1000, MultiWarmup: 1000, MultiMeasure: 1000, Mixes: 2, Seed: 2}
+	var es []Experiment
+	for _, id := range []string{"fig05", "fig09", "fig11", "fig17"} {
+		e, _ := ByID(id)
+		es = append(es, e)
+	}
+	type counts struct {
+		hits, built uint64
+		held        int64
+	}
+	var runs []counts
+	for i := 0; i < 2; i++ {
+		r := NewRunnerPool(p, NewPool(1))
+		if AnyFailed(RunAll(r, es)) {
+			t.Fatal("a figure failed")
+		}
+		var c counts
+		c.hits, c.built, c.held = r.GraphStats()
+		if c.hits+c.built != 306 || c.held > workload.GraphCacheBytes {
+			t.Fatalf("run %d: %d hits + %d built, %d bytes held; want 306 readers and at most %d bytes",
+				i, c.hits, c.built, c.held, workload.GraphCacheBytes)
+		}
+		if c.hits != 184 || c.built != 122 {
+			t.Errorf("run %d: %d hits, %d built; the one-worker order gives 184 and 122", i, c.hits, c.built)
+		}
+		runs = append(runs, c)
+	}
+	if runs[0] != runs[1] {
+		t.Fatalf("graph counts differ between runs: %+v, then %+v", runs[0], runs[1])
+	}
+}

@@ -15,19 +15,24 @@ import (
 	"repro/internal/workload"
 )
 
-// Pool bounds the number of simulations executing concurrently. Figure
-// coordinators run on plain goroutines and never hold a worker slot
-// while waiting on a Future, so the pool cannot deadlock: every job it
-// admits is an independent leaf simulation.
+// Pool bounds the number of simulations executing concurrently and
+// starts them in the order they were scheduled. Figure coordinators run
+// on plain goroutines and never hold a worker slot while waiting on a
+// Future, so the pool cannot deadlock: every job it admits is an
+// independent leaf simulation.
 //
 // The pool also owns the cell memo that every Runner on it shares: a
 // figure cell finished (or in flight) for one Runner serves any other
 // Runner with the same Params, so the service's and workers' one-
 // Runner-per-figure jobs simulate a shared baseline once per process.
 type Pool struct {
-	sem  chan struct{}
-	prog atomic.Pointer[telemetry.PoolProgress]
-	memo cellMemo
+	workers int
+	prog    atomic.Pointer[telemetry.PoolProgress]
+	memo    cellMemo
+
+	mu      sync.Mutex
+	busy    int             // jobs holding a worker slot
+	waiting []chan struct{} // queued jobs, in the order Go was called
 }
 
 // SetProgress attaches a live progress tracker; workers report busy/
@@ -45,14 +50,43 @@ func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	return &Pool{sem: make(chan struct{}, workers)}
+	return &Pool{workers: workers}
 }
 
 // DefaultPool sizes a pool to the machine (GOMAXPROCS workers).
 func DefaultPool() *Pool { return NewPool(runtime.GOMAXPROCS(0)) }
 
 // Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return cap(p.sem) }
+func (p *Pool) Workers() int { return p.workers }
+
+// acquire queues a job for a worker slot. The returned channel is
+// closed when the job may start: at once if a slot is free and no
+// earlier job waits, otherwise when a finishing job hands its slot
+// over. Jobs start in the order acquire was called.
+func (p *Pool) acquire() <-chan struct{} {
+	ch := make(chan struct{})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.busy < p.workers && len(p.waiting) == 0 {
+		p.busy++
+		close(ch)
+	} else {
+		p.waiting = append(p.waiting, ch)
+	}
+	return ch
+}
+
+// release passes a finished job's slot to the longest-waiting job.
+func (p *Pool) release() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.waiting) == 0 {
+		p.busy--
+		return
+	}
+	close(p.waiting[0])
+	p.waiting = p.waiting[1:]
+}
 
 // MemoStats reports the cell memo's activity: requests served by a
 // cell that an earlier request had already finished or started, and
@@ -183,16 +217,17 @@ func Resolved[T any](v T) *Future[T] {
 }
 
 // Go schedules fn on the pool and returns its Future. fn runs once a
-// worker slot is free; slots are held only for the duration of fn. A
-// panic in fn is recovered into the Future's *RunError; the done
-// channel closes on every path (deferred first, so it runs after the
-// recover has stored the error).
+// worker slot is free, after every job an earlier Go queued; slots are
+// held only for the duration of fn. A panic in fn is recovered into the
+// Future's *RunError; the done channel closes on every path (deferred
+// first, so it runs after the recover has stored the error).
 func Go[T any](p *Pool, fn func() T) *Future[T] {
 	f := &Future[T]{done: make(chan struct{})}
+	start := p.acquire()
 	go func() {
 		defer close(f.done)
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
+		<-start
+		defer p.release()
 		if prog := p.Progress(); prog != nil {
 			prog.WorkerStart()
 			defer prog.WorkerDone()
@@ -376,7 +411,7 @@ func (r *Runner) cell(key string, durable bool, run func(*telemetry.Hooks) sim.R
 // cell kind: the resume checkpoint holds single-core cells.
 func (r *Runner) singleF(spec workload.Spec, cfg namedPF) *Future[sim.Result] {
 	return r.cell(spec.Name+"/"+cfg.name, true, func(hooks *telemetry.Hooks) sim.Result {
-		return runSingle(r.P, spec, cfg.f, nil, hooks)
+		return runSingle(r.P, r.graphs, spec, cfg.f, nil, hooks)
 	})
 }
 
@@ -387,7 +422,7 @@ func (r *Runner) runSingleF(spec workload.Spec, factory pfFactory, mutate func(*
 	key := spec.Name + "/adhoc"
 	return Go(r.pool, func() sim.Result {
 		return r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runSingle(r.P, spec, factory, mutate, hooks))
+			return r.record(runSingle(r.P, r.graphs, spec, factory, mutate, hooks))
 		})
 	})
 }
@@ -404,16 +439,18 @@ func (r *Runner) runMixF(mix workload.MixSpec, cfg namedPF) *Future[sim.Result] 
 	}
 	return r.cell(strings.Join(comp, "+")+"/"+cfg.name, false, func(hooks *telemetry.Hooks) sim.Result {
 		defer collectMachine()
-		return runMix(r.P, mix, cfg.f, hooks)
+		return runMix(r.P, r.graphs, mix, cfg.f, hooks)
 	})
 }
 
 // collectMachine runs a garbage collection once a multi-core cell's
 // machine is out of reach. At 16 cores a machine holds 100 MB or more
-// of caches, metadata stores and workload graphs; collecting it before
-// the slot passes to the next cell keeps one such machine on the heap
-// instead of two, so a figure run's peak memory is the same whatever
-// order the pool admitted its cells in. Single-core machines are small
+// of caches and metadata stores; collecting it before the slot passes
+// to the next cell keeps one such machine on the heap instead of two,
+// so a figure run's peak memory is the same whatever order the pool
+// admitted its cells in. The machine's workload graphs may outlive it
+// in the Runner's graph cache, which holds at most
+// workload.GraphCacheBytes of them. Single-core machines are small
 // enough to leave to the pacer.
 func collectMachine() { runtime.GC() }
 
@@ -421,7 +458,7 @@ func collectMachine() { runtime.GC() }
 func (r *Runner) runRateF(spec workload.Spec, cores int, cfg namedPF) *Future[sim.Result] {
 	return r.cell(fmt.Sprintf("%s/x%d/%s", spec.Name, cores, cfg.name), false, func(hooks *telemetry.Hooks) sim.Result {
 		defer collectMachine()
-		return runRate(r.P, spec, cores, cfg.f, hooks)
+		return runRate(r.P, r.graphs, spec, cores, cfg.f, hooks)
 	})
 }
 
@@ -429,20 +466,33 @@ func (r *Runner) runRateF(spec workload.Spec, cores int, cfg namedPF) *Future[si
 // goroutine so their simulations interleave on the pool, and returns
 // the tables in input order. The pool's single-flight memo keeps shared
 // cells simulated exactly once even when figures race to them, so the
-// output is byte-identical to a sequential run. A failing experiment
-// yields an error table (RunOne); its siblings complete.
+// output is byte-identical to a sequential run. A one-worker pool runs
+// one cell at a time anyway, so there the experiments run in turn: the
+// cells then start in the same order on every run (the pool admits them
+// in the order they were asked for), and so do the graph cache's hits.
+// A failing experiment yields an error table (RunOne); its siblings
+// complete.
 func RunAll(r *Runner, es []Experiment) []*Table {
 	tables := make([]*Table, len(es))
+	run := func(i int) {
+		tables[i] = RunOne(r, es[i])
+		if p := r.pool.Progress(); p != nil {
+			p.UnitDone()
+		}
+	}
+	if r.pool.Workers() == 1 {
+		for i := range es {
+			run(i)
+		}
+		return tables
+	}
 	var wg sync.WaitGroup
-	for i, e := range es {
+	for i := range es {
 		wg.Add(1)
-		go func(i int, e Experiment) {
+		go func(i int) {
 			defer wg.Done()
-			tables[i] = RunOne(r, e)
-			if p := r.pool.Progress(); p != nil {
-				p.UnitDone()
-			}
-		}(i, e)
+			run(i)
+		}(i)
 	}
 	wg.Wait()
 	return tables

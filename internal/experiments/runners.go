@@ -134,13 +134,12 @@ func pfHybrid(a, b pfFactory) pfFactory {
 
 // runSingle simulates one benchmark on a single-core Table 1 machine,
 // optionally mutated (ad hoc cells: capacity-loss-free stores, LLC
-// policy and latency variants).
-func runSingle(p Params, spec workload.Spec, factory pfFactory, mutate func(*sim.Options), tel *telemetry.Hooks) sim.Result {
-	m := config.Default(1)
+// policy and latency variants). The reader and prefetcher are built
+// after mutate, once, for the machine it leaves; chase graphs come from
+// g (nil shuffles them privately).
+func runSingle(p Params, g *workload.Graphs, spec workload.Spec, factory pfFactory, mutate func(*sim.Options), tel *telemetry.Hooks) sim.Result {
 	opts := sim.Options{
-		Machine:             m,
-		Workloads:           []trace.Reader{spec.New(p.Seed, 0)},
-		Prefetchers:         []prefetch.Prefetcher{factory(m)},
+		Machine:             config.Default(1),
 		WarmupInstructions:  p.Warmup,
 		MeasureInstructions: p.Measure,
 		Telemetry:           tel,
@@ -148,9 +147,9 @@ func runSingle(p Params, spec workload.Spec, factory pfFactory, mutate func(*sim
 	}
 	if mutate != nil {
 		mutate(&opts)
-		opts.Workloads = []trace.Reader{spec.New(p.Seed, 0)}
-		opts.Prefetchers = []prefetch.Prefetcher{factory(opts.Machine)}
 	}
+	opts.Workloads = []trace.Reader{spec.NewFrom(g, p.Seed, 0)}
+	opts.Prefetchers = []prefetch.Prefetcher{factory(opts.Machine)}
 	machine, err := sim.New(opts)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", spec.Name, err))
@@ -160,13 +159,13 @@ func runSingle(p Params, spec workload.Spec, factory pfFactory, mutate func(*sim
 
 // runMix simulates a multi-programmed mix on an N-core machine, one
 // benchmark and one prefetcher instance per core.
-func runMix(p Params, mix workload.MixSpec, factory pfFactory, tel *telemetry.Hooks) sim.Result {
+func runMix(p Params, g *workload.Graphs, mix workload.MixSpec, factory pfFactory, tel *telemetry.Hooks) sim.Result {
 	cores := len(mix.Specs)
 	m := config.Default(cores)
 	ws := make([]trace.Reader, cores)
 	pfs := make([]prefetch.Prefetcher, cores)
 	for c, spec := range mix.Specs {
-		ws[c] = spec.New(p.Seed+uint64(c)*7919, mem.Addr(c+1)<<40)
+		ws[c] = spec.NewFrom(g, p.Seed+uint64(c)*7919, mem.Addr(c+1)<<40)
 		pfs[c] = factory(m)
 	}
 	machine, err := sim.New(sim.Options{
@@ -186,12 +185,12 @@ func runMix(p Params, mix workload.MixSpec, factory pfFactory, tel *telemetry.Ho
 
 // runRate simulates N copies of one benchmark on an N-core machine
 // (the CloudSuite server setup).
-func runRate(p Params, spec workload.Spec, cores int, factory pfFactory, tel *telemetry.Hooks) sim.Result {
+func runRate(p Params, g *workload.Graphs, spec workload.Spec, cores int, factory pfFactory, tel *telemetry.Hooks) sim.Result {
 	m := config.Default(cores)
 	ws := make([]trace.Reader, cores)
 	pfs := make([]prefetch.Prefetcher, cores)
 	for c := 0; c < cores; c++ {
-		ws[c] = spec.New(p.Seed+uint64(c)*104729, mem.Addr(c+1)<<40)
+		ws[c] = spec.NewFrom(g, p.Seed+uint64(c)*104729, mem.Addr(c+1)<<40)
 		pfs[c] = factory(m)
 	}
 	machine, err := sim.New(sim.Options{

@@ -114,6 +114,19 @@ func (r *Registry) register(m *metric) {
 	r.keys[m.key] = true
 }
 
+// Remove unregisters the metric called name, if there is one: both
+// renderings drop it, and its name and JSON key may be registered
+// again. It is for series whose subject goes away, such as the
+// in-flight gauge of a worker the cluster has forgotten.
+func (r *Registry) Remove(name string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.metrics[name]; m != nil {
+		delete(r.metrics, name)
+		delete(r.keys, m.key)
+	}
+}
+
 // Counter registers and returns a counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	c := &Counter{}

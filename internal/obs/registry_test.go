@@ -149,3 +149,26 @@ func TestDuplicateMetricPanics(t *testing.T) {
 	r.Gauge("triaged_x", "")
 	r.Gauge("triaged_x_total", "")
 }
+
+// TestRegistryRemove pins that a removed metric leaves both renderings
+// and frees its name and JSON key, and that removing an unknown name is
+// a no-op.
+func TestRegistryRemove(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("triaged_worker_inflight_a", "", func() float64 { return 1 })
+	r.Counter("triaged_kept_total", "")
+	r.Remove("triaged_worker_inflight_a")
+	r.Remove("triaged_never_registered")
+	var text bytes.Buffer
+	if err := r.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(text.String(), "worker_inflight") || !strings.Contains(text.String(), "triaged_kept_total 0") {
+		t.Fatalf("text after Remove:\n%s", text.String())
+	}
+	snap := r.Snapshot()
+	if _, ok := snap["worker_inflight_a"]; ok || len(snap) != 1 {
+		t.Fatalf("JSON after Remove: %v", snap)
+	}
+	r.Gauge("triaged_worker_inflight_a", "") // the name is free again
+}

@@ -9,6 +9,7 @@
 package workload
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/mem"
@@ -54,7 +55,7 @@ type ChaseParams struct {
 type chase struct {
 	p      ChaseParams
 	base   mem.Addr
-	order  []uint32 // traversal order: position -> node index
+	order  []uint32 // traversal order: position -> node index (read-only, maybe shared)
 	pos    []int    // per-stream position
 	steps  []int    // per-stream nodes followed in the current run
 	rng    *rand.Rand
@@ -69,8 +70,14 @@ type chase struct {
 // offsets all addresses (multi-core runs give each core a disjoint
 // address space); seed fixes the permutation and run schedule.
 func NewChase(p ChaseParams, seed uint64, base mem.Addr) trace.Reader {
-	if p.Nodes < 4 {
-		panic("workload: ChaseParams.Nodes must be >= 4")
+	return newChase(nil, p, seed, base)
+}
+
+// newChase builds NewChase's reader, taking its node permutation from g
+// (nil shuffles it privately).
+func newChase(g *Graphs, p ChaseParams, seed uint64, base mem.Addr) trace.Reader {
+	if p.Nodes < 4 || p.Nodes > math.MaxInt32 {
+		panic("workload: ChaseParams.Nodes must be in [4, 2^31)")
 	}
 	if p.Streams < 1 {
 		p.Streams = 1
@@ -78,14 +85,9 @@ func NewChase(p ChaseParams, seed uint64, base mem.Addr) trace.Reader {
 	if p.RunLen < 1 {
 		p.RunLen = 64
 	}
-	rng := rand.New(rand.NewSource(int64(seed)))
-	order := make([]uint32, p.Nodes)
-	for i := range order {
-		order[i] = uint32(i)
-	}
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	order, src := g.graph(p.Nodes, seed)
 	c := &chase{
-		p: p, base: base, order: order, rng: rng,
+		p: p, base: base, order: order, rng: rand.New(src),
 		pos:   make([]int, p.Streams),
 		steps: make([]int, p.Streams),
 	}

@@ -25,28 +25,38 @@ const (
 type Spec struct {
 	Name  string
 	Class Class
-	// New returns an endless trace for this benchmark. seed
-	// perturbs schedules (mix diversity); base offsets the address
-	// space (one disjoint space per core).
-	New func(seed uint64, base mem.Addr) trace.Reader
+	build func(g *Graphs, seed uint64, base mem.Addr) trace.Reader
+}
+
+// New returns an endless trace for this benchmark, shuffling any
+// pointer-chase graph it walks privately. seed perturbs schedules (mix
+// diversity); base offsets the address space (one disjoint space per
+// core).
+func (s Spec) New(seed uint64, base mem.Addr) trace.Reader { return s.build(nil, seed, base) }
+
+// NewFrom returns the trace New returns, record for record, taking its
+// chase graph from g instead of shuffling it again when g holds it
+// (nil g is New).
+func (s Spec) NewFrom(g *Graphs, seed uint64, base mem.Addr) trace.Reader {
+	return s.build(g, seed, base)
 }
 
 func chaseSpec(name string, class Class, p ChaseParams) Spec {
-	return Spec{Name: name, Class: class, New: func(seed uint64, base mem.Addr) trace.Reader {
-		return NewChase(p, seed^hashName(name), base)
+	return Spec{Name: name, Class: class, build: func(g *Graphs, seed uint64, base mem.Addr) trace.Reader {
+		return newChase(g, p, seed^hashName(name), base)
 	}}
 }
 
 func strideSpec(name string, class Class, p StrideParams) Spec {
-	return Spec{Name: name, Class: class, New: func(seed uint64, base mem.Addr) trace.Reader {
+	return Spec{Name: name, Class: class, build: func(_ *Graphs, seed uint64, base mem.Addr) trace.Reader {
 		return NewStride(p, seed^hashName(name), base)
 	}}
 }
 
 // mixSpec interleaves an irregular chase with a regular strided phase.
 func mixSpec(name string, class Class, cp ChaseParams, sp StrideParams, wChase, wStride int) Spec {
-	return Spec{Name: name, Class: class, New: func(seed uint64, base mem.Addr) trace.Reader {
-		c := NewChase(cp, seed^hashName(name), base)
+	return Spec{Name: name, Class: class, build: func(g *Graphs, seed uint64, base mem.Addr) trace.Reader {
+		c := newChase(g, cp, seed^hashName(name), base)
 		s := NewStride(sp, seed^hashName(name)^0x5555, base+(1<<36))
 		return NewMix(256, []trace.Reader{c, s}, []int{wChase, wStride})
 	}}
@@ -62,7 +72,7 @@ func mixSpec(name string, class Class, cp ChaseParams, sp StrideParams, wChase, 
 // (callers validate first via Corpus.Has; the experiment engine's
 // panic isolation turns a late loss into a per-cell failure).
 func Replay(name string, c *trace.Corpus, id string, class Class) Spec {
-	return Spec{Name: name, Class: class, New: func(_ uint64, base mem.Addr) trace.Reader {
+	return Spec{Name: name, Class: class, build: func(_ *Graphs, _ uint64, base mem.Addr) trace.Reader {
 		r, err := c.OpenLoop(id)
 		if err != nil {
 			panic(fmt.Errorf("workload: replaying %s: %w", id, err))

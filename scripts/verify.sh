@@ -28,7 +28,7 @@ fi
 go build ./...
 go test ./...
 go vet ./...
-go test -race ./internal/experiments ./internal/sim
+go test -race ./internal/experiments ./internal/sim ./internal/workload
 go test -race ./internal/cache ./internal/replacement
 go test -race ./internal/service
 go test -race ./internal/obs
