@@ -38,7 +38,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -169,17 +168,14 @@ func main() {
 	}
 }
 
-// printCaches reports the process's simulation caches on stderr: the
-// pool memo, which serves duplicate figure cells whole, the warm-
-// snapshot cache, which figure cells no longer fill, and the runner's
+// printCaches reports the process's figure caches on stderr: the pool
+// memo, which serves duplicate figure cells whole, and the runner's
 // graph cache, which shares shuffled chase graphs between cells.
 func printCaches(pool *experiments.Pool, runner *experiments.Runner) {
 	hits, simulated := pool.MemoStats()
-	wc := sim.GlobalWarmCache()
-	restores, misses, stores := wc.Stats()
 	gHits, gBuilt, gHeld := runner.GraphStats()
-	fmt.Fprintf(os.Stderr, "caches: memo %d hits, %d simulated; warm snapshots %d restored, %d missed, %d stored, %.1f MB held; graphs %d hits, %d built, %.1f MB held\n",
-		hits, simulated, restores, misses, stores, float64(wc.HeldBytes())/1e6, gHits, gBuilt, float64(gHeld)/1e6)
+	fmt.Fprintf(os.Stderr, "caches: memo %d hits, %d simulated; graphs %d hits, %d built, %.1f MB held\n",
+		hits, simulated, gHits, gBuilt, float64(gHeld)/1e6)
 }
 
 func writeCSV(dir, id string, t *experiments.Table) error {

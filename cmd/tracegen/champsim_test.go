@@ -167,8 +167,8 @@ func TestImportChampSimToCorpus(t *testing.T) {
 	}
 }
 
-// TestSummarizeV2 checks -inspect against a TRC2 file (the decoder is
-// sniffed, so the same code path serves both containers).
+// TestSummarizeV2 checks -inspect's counts on a small hand-written TRC2
+// file.
 func TestSummarizeV2(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.trc2")
 	f, err := os.Create(path)

@@ -1,16 +1,16 @@
-// Command tracegen materializes a synthetic benchmark into a binary
-// trace file (TRC2, the CRC-framed block-compressed container of
-// internal/trace, or the legacy v1 delta format), ingests traces into
-// a content-addressed corpus, imports external ChampSim traces, or
-// inspects an existing trace. Materialized traces decouple workload
-// generation from simulation and make runs byte-reproducible.
+// Command tracegen materializes a synthetic benchmark into a TRC2
+// trace file (the CRC-framed, block-compressed container of
+// internal/trace, the only trace format), ingests traces into a
+// content-addressed corpus, imports external ChampSim traces, or
+// inspects an existing TRC2 file. Materialized traces decouple
+// workload generation from simulation and make runs byte-reproducible.
 //
 // Usage:
 //
 //	tracegen -bench mcf -n 5000000 -o mcf.trc2           # generate
 //	tracegen -bench mcf -n 5000000 -corpus traces/       # ingest; prints sha256:<hex>
 //	tracegen -import champsim -in cloud.xz.gz -corpus traces/
-//	tracegen -inspect mcf.trc2                           # summarize (v1 or v2)
+//	tracegen -inspect mcf.trc2                           # summarize; a torn file exits 1
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 		bench   = flag.String("bench", "mcf", "benchmark to materialize")
 		n       = flag.Uint64("n", 5_000_000, "number of instructions (cap when importing)")
 		out     = flag.String("o", "", "output file (default <bench>.trace)")
-		format  = flag.String("format", "v2", "output container: v2 (TRC2, checksummed+compressed) or v1 (legacy)")
 		corpus  = flag.String("corpus", "", "ingest into this content-addressed corpus directory instead of -o; prints the trace id on stdout")
 		imp     = flag.String("import", "", "import an external trace instead of generating (formats: champsim)")
 		in      = flag.String("in", "", "input file for -import (gzip is detected by sniffing)")
@@ -99,7 +98,7 @@ func main() {
 		}
 		path = *bench + ".trace"
 	}
-	if err := writeFile(path, *format, src, *n); err != nil {
+	if err := writeFile(path, src, *n); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -185,48 +184,33 @@ func ingestCorpus(dir string, src source, n uint64) error {
 	return nil
 }
 
-// writeFile streams up to n records into a standalone trace file in
-// the requested container format.
-func writeFile(path, format string, src source, n uint64) error {
+// writeFile streams up to n records into a standalone TRC2 file.
+func writeFile(path string, src source, n uint64) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 
-	var (
-		write func(trace.Record) error
-		seal  func() error
-		count func() uint64
-	)
-	switch format {
-	case "v1":
-		tw := trace.NewWriter(f)
-		write, seal, count = tw.Write, tw.Flush, tw.Count
-	case "v2":
-		tw := trace.NewWriterV2(f)
-		write, seal, count = tw.Write, tw.Close, tw.Count
-	default:
-		return fmt.Errorf("tracegen: unknown format %q (want v1 or v2)", format)
-	}
+	tw := trace.NewWriterV2(f)
 	for i := uint64(0); i < n; i++ {
 		rec, ok := src.Next()
 		if !ok {
 			break
 		}
-		if err := write(rec); err != nil {
+		if err := tw.Write(rec); err != nil {
 			return err
 		}
 	}
 	if err := src.Err(); err != nil {
 		return err
 	}
-	if err := seal(); err != nil {
+	if err := tw.Close(); err != nil {
 		return err
 	}
 	st, _ := f.Stat()
 	fmt.Printf("wrote %d records to %s (%.1f MB, %.2f bytes/record)\n",
-		count(), path, float64(st.Size())/(1<<20), float64(st.Size())/float64(max64(count(), 1)))
+		tw.Count(), path, float64(st.Size())/(1<<20), float64(st.Size())/float64(max64(tw.Count(), 1)))
 	return nil
 }
 
@@ -247,7 +231,7 @@ func summarize(path string) (summary, error) {
 		return summary{}, err
 	}
 	defer f.Close()
-	r := trace.NewDecoder(f)
+	r := trace.NewReaderV2(f)
 	var s summary
 	pcs := map[uint64]struct{}{}
 	lines := map[mem.Line]struct{}{}

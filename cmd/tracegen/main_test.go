@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/mem"
@@ -14,7 +15,7 @@ import (
 // TestSummarizeRoundTrip materializes a small benchmark trace exactly
 // the way the generate path does, counting the expected statistics on
 // the fly, then checks that -inspect's summarize recovers them from
-// the encoded file.
+// the TRC2 file, and refuses the same file with its end cut off.
 func TestSummarizeRoundTrip(t *testing.T) {
 	spec, ok := workload.ByName("mcf")
 	if !ok {
@@ -25,7 +26,7 @@ func TestSummarizeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := trace.NewWriter(f)
+	w := trace.NewWriterV2(f)
 	r := spec.New(42, 0)
 
 	var want summary
@@ -55,7 +56,7 @@ func TestSummarizeRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -76,6 +77,57 @@ func TestSummarizeRoundTrip(t *testing.T) {
 	}
 	if got.Loads == 0 || got.Dependent == 0 {
 		t.Errorf("mcf should contain dependent loads, got %+v", got)
+	}
+
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := summarize(path); err == nil {
+		t.Errorf("summarize read a torn file as %+v", s)
+	}
+}
+
+// TestTRC1Refused hands a stream in the retired unframed TRC\x01
+// format (two records: a load, then a non-memory instruction) to each
+// reader of trace files. Every one must refuse it rather than decode
+// it, since that format reads a file cut at a record boundary as a
+// clean, shorter trace.
+func TestTRC1Refused(t *testing.T) {
+	legacy := []byte{'T', 'R', 'C', 1,
+		byte(trace.Load), 0x08, 0x80, 0x20, // PC +4, address 0x1000
+		byte(trace.NonMem), 0x08, // PC +4
+	}
+
+	r := trace.NewReaderV2(bytes.NewReader(legacy))
+	if rec, ok := r.Next(); ok {
+		t.Errorf("NewReaderV2 decoded %+v", rec)
+	}
+	if err := r.Err(); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("NewReaderV2: Err = %v, want a bad-magic error", err)
+	}
+
+	dir := t.TempDir()
+	c, err := trace.OpenCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, err := c.IngestFrom(bytes.NewReader(legacy), ""); err == nil {
+		t.Errorf("IngestFrom stored it as %s", id)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("corpus directory after a refused ingest: %v (err %v), want empty", ents, err)
+	}
+
+	path := filepath.Join(t.TempDir(), "legacy.trace")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, err := summarize(path); err == nil {
+		t.Errorf("summarize read it as %+v", s)
 	}
 }
 

@@ -1,7 +1,7 @@
-// Replay: materialize a benchmark into the binary trace format, then
-// replay the file through the simulator — the decoupled workflow for
+// Replay: materialize a benchmark into a TRC2 trace file, then replay
+// the file through the simulator — the decoupled workflow for
 // byte-reproducible runs and for bringing external traces (anything
-// convertible to the codec) into the harness.
+// convertible to TRC2, as tracegen -import does) into the harness.
 //
 // Run with:
 //
@@ -29,7 +29,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "xalancbmk.trace")
+	path := filepath.Join(dir, "xalancbmk.trc2")
 
 	// 1. Materialize 3M instructions of the xalancbmk-like workload.
 	spec, _ := workload.ByName("xalancbmk")
@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	w := trace.NewWriter(f)
+	w := trace.NewWriterV2(f)
 	r := spec.New(42, 0)
 	const n = 3_000_000
 	for i := 0; i < n; i++ {
@@ -46,7 +46,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -64,7 +64,13 @@ func main() {
 			log.Fatal(err)
 		}
 		defer g.Close()
-		recs := trace.Collect(trace.NewFileReader(g), n)
+		// Ask for one record past n so the read runs into the clean end,
+		// where the footer verifies the count and content hash.
+		tr := trace.NewReaderV2(g)
+		recs := trace.Collect(tr, n+1)
+		if err := tr.Err(); err != nil || len(recs) != n {
+			log.Fatalf("reading %s: %d records, err %v", path, len(recs), err)
+		}
 		m, err := sim.New(sim.Options{
 			Machine:             config.Default(1),
 			Workloads:           []trace.Reader{trace.NewLoopReader(recs)},

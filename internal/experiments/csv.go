@@ -31,29 +31,3 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// Markdown renders the table as a GitHub-flavored markdown table
-// (EXPERIMENTS.md embeds these).
-func (t *Table) Markdown() string {
-	out := "### " + t.ID + ": " + t.Title + "\n\n"
-	row := func(cells []string) string {
-		s := "|"
-		for _, c := range cells {
-			s += " " + c + " |"
-		}
-		return s + "\n"
-	}
-	out += row(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	out += row(sep)
-	for _, r := range t.Rows {
-		out += row(r)
-	}
-	for _, n := range t.Notes {
-		out += "\n> " + n + "\n"
-	}
-	return out
-}

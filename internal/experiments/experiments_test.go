@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -62,11 +65,43 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	md := sampleTable().Markdown()
-	for _, want := range []string{"### figXX", "| benchmark | speedup |", "| --- | --- |", "| mcf | 1.234 |", "> a note"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
+// TestCollectSpeedups pins the speedup collector the grid figures
+// share: speedups over each row's baseline, ERROR for a failed cell and
+// for every cell of a row whose baseline failed, one note per failure,
+// and a geomean row over the cells that ran.
+func TestCollectSpeedups(t *testing.T) {
+	ran := func(cycles uint64) *Future[sim.Result] {
+		return Resolved(sim.Result{Cores: []sim.CoreResult{{Instructions: 100, Cycles: cycles}}})
+	}
+	failed := func(key string) *Future[sim.Result] {
+		f := &Future[sim.Result]{done: make(chan struct{}), err: &RunError{Key: key, Reason: "fault", Err: errors.New("boom")}}
+		close(f.done)
+		return f
+	}
+	tbl := &Table{ID: "figXX", Header: []string{"mix", "A", "B"}}
+	collectSpeedups(tbl, []string{"m0", "m1", "m2"},
+		[]*Future[sim.Result]{ran(100), ran(100), failed("m2/base")},
+		[][]*Future[sim.Result]{
+			{ran(50), ran(25)},
+			{failed("m1/A"), ran(200)},
+			{ran(50), ran(50)},
+		})
+	want := [][]string{
+		{"m0", "2.000", "4.000"},
+		{"m1", "ERROR", "0.500"},
+		{"m2", "ERROR", "ERROR"},
+		{"geomean", "2.000", "1.414"},
+	}
+	if !reflect.DeepEqual(tbl.Rows, want) {
+		t.Errorf("rows = %q, want %q", tbl.Rows, want)
+	}
+	if !tbl.Failed {
+		t.Error("table with failed cells not marked failed")
+	}
+	notes := strings.Join(tbl.Notes, "\n")
+	for _, key := range []string{"m1/A", "m2/base"} {
+		if !strings.Contains(notes, "FAILED cell: "+key) {
+			t.Errorf("notes omit the failure of %s:\n%s", key, notes)
 		}
 	}
 }

@@ -91,16 +91,7 @@ func (r *Runner) ExtUtility() *Table {
 	// ...plus the irregular suite, where the extension must not regress.
 	suite = append(suite, workload.IrregularSuite()...)
 	bases, cells := r.launchGrid(suite, []namedPF{cfgTDyn, cfgUtil})
-	var dyn, util []float64
-	for si, spec := range suite {
-		base := bases[si].Wait()
-		d := cells[si][0].Wait().SpeedupOver(base)
-		u := cells[si][1].Wait().SpeedupOver(base)
-		dyn = append(dyn, d)
-		util = append(util, u)
-		t.AddRow(spec.Name, fmtSpeedup(d), fmtSpeedup(u))
-	}
-	t.AddRow("geomean", fmtSpeedup(geomean(dyn)), fmtSpeedup(geomean(util)))
+	collectSpeedups(t, specNames(suite), bases, cells)
 	t.Note("shape target: DynUtil >= Dynamic on capacity-sensitive regulars, ~equal on irregulars")
 	return t
 }
@@ -120,16 +111,7 @@ func (r *Runner) ExtLadder() *Table {
 	}
 	suite := workload.IrregularSuite()
 	bases, cells := r.launchGrid(suite, []namedPF{cfgTDyn, cfgLadder})
-	var dyn, lad []float64
-	for si, spec := range suite {
-		base := bases[si].Wait()
-		d := cells[si][0].Wait().SpeedupOver(base)
-		l := cells[si][1].Wait().SpeedupOver(base)
-		dyn = append(dyn, d)
-		lad = append(lad, l)
-		t.AddRow(spec.Name, fmtSpeedup(d), fmtSpeedup(l))
-	}
-	t.AddRow("geomean", fmtSpeedup(geomean(dyn)), fmtSpeedup(geomean(lad)))
+	collectSpeedups(t, specNames(suite), bases, cells)
 	t.Note("shape target: ladder within a few points of Dynamic; differences reflect its wider size range and slower convergence")
 	return t
 }

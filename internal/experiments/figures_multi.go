@@ -24,6 +24,14 @@ func (r *Runner) launchMixGrid(mixes []workload.MixSpec, configs []namedPF) (bas
 	return bases, cells
 }
 
+func mixNames(mixes []workload.MixSpec) []string {
+	out := make([]string, len(mixes))
+	for i, m := range mixes {
+		out[i] = m.Name
+	}
+	return out
+}
+
 // Fig14 evaluates the server workloads on a 4-core system (paper:
 // BO+Triage 13.7% vs BO 8.6%; Triage wins the irregular three, BO/SMS
 // the regular two; BO+SMS degrades vs BO).
@@ -42,23 +50,7 @@ func (r *Runner) Fig14() *Table {
 			cellFs[si][ci] = r.runRateF(spec, 4, cfg)
 		}
 	}
-	sums := make([][]float64, len(configs))
-	for si, spec := range suite {
-		base := baseFs[si].Wait()
-		row := []string{spec.Name}
-		for i := range configs {
-			res := cellFs[si][i].Wait()
-			sp := res.SpeedupOver(base)
-			sums[i] = append(sums[i], sp)
-			row = append(row, fmtSpeedup(sp))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for i := range configs {
-		row = append(row, fmtSpeedup(geomean(sums[i])))
-	}
-	t.AddRow(row...)
+	collectSpeedups(t, specNames(suite), baseFs, cellFs)
 	t.Note("shape target: Triage wins cassandra/classification/cloud9; BO wins nutch/streaming; BO+Triage best overall; BO+SMS <= BO")
 	return t
 }
@@ -103,22 +95,7 @@ func (r *Runner) Fig16() *Table {
 	t := &Table{ID: "fig16", Title: "4-core irregular multi-programmed mixes"}
 	t.Header = append([]string{"mix"}, names(configs)...)
 	bases, cells := r.launchMixGrid(mixes, configs)
-	sums := make([][]float64, len(configs))
-	for mi, mix := range mixes {
-		base := bases[mi].Wait()
-		row := []string{mix.Name}
-		for i := range configs {
-			sp := cells[mi][i].Wait().SpeedupOver(base)
-			sums[i] = append(sums[i], sp)
-			row = append(row, fmtSpeedup(sp))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for i := range configs {
-		row = append(row, fmtSpeedup(geomean(sums[i])))
-	}
-	t.AddRow(row...)
+	collectSpeedups(t, mixNames(mixes), bases, cells)
 	t.Note("shape target: BO+Triage_Dyn > BO and > Triage_Dyn")
 	return t
 }
@@ -162,22 +139,7 @@ func (r *Runner) Fig18() *Table {
 	t := &Table{ID: "fig18", Title: "4-core mixed regular+irregular mixes"}
 	t.Header = append([]string{"mix"}, names(configs)...)
 	bases, cells := r.launchMixGrid(mixes, configs)
-	sums := make([][]float64, len(configs))
-	for mi, mix := range mixes {
-		base := bases[mi].Wait()
-		row := []string{mix.Name}
-		for i := range configs {
-			sp := cells[mi][i].Wait().SpeedupOver(base)
-			sums[i] = append(sums[i], sp)
-			row = append(row, fmtSpeedup(sp))
-		}
-		t.AddRow(row...)
-	}
-	row := []string{"geomean"}
-	for i := range configs {
-		row = append(row, fmtSpeedup(geomean(sums[i])))
-	}
-	t.AddRow(row...)
+	collectSpeedups(t, mixNames(mixes), bases, cells)
 	t.Note("shape target: BO+Triage > BO > Triage-alone on mixed mixes")
 	return t
 }

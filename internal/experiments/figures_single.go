@@ -170,14 +170,24 @@ func (r *Runner) speedupTable(id, title string, suite []workload.Spec, configs [
 	t := &Table{ID: id, Title: title}
 	t.Header = append([]string{"benchmark"}, names(configs)...)
 	bases, cells := r.launchGrid(suite, configs)
-	means := make([][]float64, len(configs))
-	for si, spec := range suite {
-		base, berr := bases[si].Result()
-		row := []string{spec.Name}
-		for i := range configs {
+	collectSpeedups(t, specNames(suite), bases, cells)
+	return t
+}
+
+// collectSpeedups adds one row per label to t, holding each cell's
+// speedup over its row's baseline in the columns after t.Header's
+// first, then a geometric-mean row over the cells that ran. A failed
+// cell, and every cell of a row whose baseline failed, reads ERROR and
+// notes its error, so the rest of the figure still prints.
+func collectSpeedups(t *Table, labels []string, bases []*Future[sim.Result], cells [][]*Future[sim.Result]) {
+	means := make([][]float64, len(t.Header)-1)
+	for ri, label := range labels {
+		base, berr := bases[ri].Result()
+		row := []string{label}
+		for i := range means {
 			// Collect every cell even under a failed baseline so no run
 			// is left half-finished when the figure returns.
-			res, err := cells[si][i].Result()
+			res, err := cells[ri][i].Result()
 			if berr != nil || err != nil {
 				row = append(row, "ERROR")
 				if err != nil {
@@ -195,17 +205,24 @@ func (r *Runner) speedupTable(id, title string, suite []workload.Spec, configs [
 		t.AddRow(row...)
 	}
 	sumRow := []string{"geomean"}
-	for i := range configs {
+	for i := range means {
 		sumRow = append(sumRow, fmtSpeedup(geomean(means[i])))
 	}
 	t.AddRow(sumRow...)
-	return t
 }
 
 func names(cfgs []namedPF) []string {
 	out := make([]string, len(cfgs))
 	for i, c := range cfgs {
 		out[i] = c.name
+	}
+	return out
+}
+
+func specNames(suite []workload.Spec) []string {
+	out := make([]string, len(suite))
+	for i, s := range suite {
+		out[i] = s.Name
 	}
 	return out
 }

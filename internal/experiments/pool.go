@@ -192,7 +192,8 @@ type Future[T any] struct {
 // Wait blocks until the computation finishes and returns its result.
 // If the computation failed, Wait re-panics with its *RunError — the
 // coordinator that collects the cell decides how to degrade (RunOne
-// turns it into an error table; speedupTable into an error row).
+// turns it into an error table; collectSpeedups reads cells through
+// Result and prints ERROR instead).
 func (f *Future[T]) Wait() T {
 	<-f.done
 	if f.err != nil {

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // Experiment pairs an id with its runner.
 type Experiment struct {
@@ -75,11 +71,4 @@ func RunOne(r *Runner, e Experiment) (t *Table) {
 		}
 	}()
 	return e.Run(r)
-}
-
-// RunAndPrint executes the experiment and writes its table to w.
-func RunAndPrint(r *Runner, e Experiment, w io.Writer) {
-	fmt.Fprintf(w, "running %s (%s)...\n", e.ID, e.Short)
-	t := RunOne(r, e)
-	t.Fprint(w)
 }

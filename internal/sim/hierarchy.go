@@ -103,7 +103,7 @@ type hierarchy struct {
 	triageMetaAccesses uint64
 	metaLineRR         uint64 // rotates MISB metadata over banks
 
-	pfIssued, pfUseful, pfRedundant, pfDropped uint64
+	pfIssued, pfRedundant, pfDropped uint64
 }
 
 // metadataPartitioner is implemented by prefetchers that claim LLC
@@ -566,7 +566,7 @@ func (h *hierarchy) resetStats() {
 	h.llc.ResetStats()
 	h.ram.ResetStats()
 	h.triageMetaAccesses = 0
-	h.pfIssued, h.pfUseful, h.pfRedundant, h.pfDropped = 0, 0, 0, 0
+	h.pfIssued, h.pfRedundant, h.pfDropped = 0, 0, 0
 	h.waySampleN = 0
 	for i := range h.waySamples {
 		h.waySamples[i] = 0

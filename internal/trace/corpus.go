@@ -172,14 +172,14 @@ func (cw *CorpusWriter) Abort() {
 	os.Remove(cw.tmp)
 }
 
-// IngestFrom streams an encoded trace (any supported container) from r
-// into the corpus and returns the canonical id of the stored entry.
-// The records are decoded and re-encoded through a CorpusWriter, so
-// the stored entry is content-addressed by construction: a truncated,
-// corrupted, or maliciously renamed source can never land under a
-// wrong id. Cluster workers use it to fetch traces they lack from the
-// coordinator — pass the id the caller expects in want ("" skips the
-// check) and a mismatch (or any decode error) aborts the ingest.
+// IngestFrom streams a TRC2 trace from r into the corpus and returns
+// the canonical id of the stored entry. The records are decoded and
+// re-encoded through a CorpusWriter, so the stored entry is
+// content-addressed by construction: a truncated, corrupted, or
+// maliciously renamed source can never land under a wrong id. Cluster
+// workers use it to fetch traces they lack from the coordinator — pass
+// the id the caller expects in want ("" skips the check) and a
+// mismatch (or any decode error) aborts the ingest.
 func (c *Corpus) IngestFrom(r io.Reader, want string) (string, error) {
 	if want != "" {
 		canon, err := CanonicalTraceID(want)
@@ -188,7 +188,7 @@ func (c *Corpus) IngestFrom(r io.Reader, want string) (string, error) {
 		}
 		want = canon
 	}
-	dec := NewDecoder(r)
+	dec := NewReaderV2(r)
 	cw, err := c.Create()
 	if err != nil {
 		return "", err
@@ -235,10 +235,10 @@ func syncCorpusDir(dir string) {
 	d.Close()
 }
 
-// CorpusFile is one opened corpus trace: a streaming Decoder plus its
-// Close.
+// CorpusFile is one opened corpus trace: a streaming TRC2 decoder plus
+// its Close.
 type CorpusFile struct {
-	Decoder
+	*ReaderV2
 	f *os.File
 }
 
@@ -258,7 +258,7 @@ func (c *Corpus) Open(id string) (*CorpusFile, error) {
 		}
 		return nil, err
 	}
-	return &CorpusFile{Decoder: NewDecoder(f), f: f}, nil
+	return &CorpusFile{ReaderV2: NewReaderV2(f), f: f}, nil
 }
 
 // OpenLoop returns an endless Reader that replays the trace named by

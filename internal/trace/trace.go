@@ -1,20 +1,13 @@
 // Package trace defines the instruction-trace model consumed by the
 // simulator, mirroring ChampSim's trace-driven methodology: each record
 // is one retired instruction, optionally with a memory operand.
-// Generators (package workload) synthesize traces program-by-program; a
-// compact binary codec supports writing traces to disk and replaying
-// them (cmd/tracegen).
+// Generators (package workload) synthesize traces program-by-program.
+// On disk a trace is a TRC2 container (v2.go), the one format the
+// system writes and reads: cmd/tracegen writes and inspects it, and the
+// content-addressed corpus (corpus.go) stores and replays it.
 package trace
 
-import (
-	"bufio"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
-
-	"repro/internal/mem"
-)
+import "repro/internal/mem"
 
 // Op is the instruction class.
 type Op uint8
@@ -118,174 +111,6 @@ func Collect(r Reader, n int) []Record {
 	return out
 }
 
-// --- binary codec ---
-
-// magic identifies the trace file format; the version byte guards
-// against stale files after format changes.
-var magic = [4]byte{'T', 'R', 'C', 1}
-
-// Writer streams records to an io.Writer in a compact delta-encoded
-// binary format.
-type Writer struct {
-	w      *bufio.Writer
-	lastPC uint64
-	n      uint64
-	header bool
-}
-
-// NewWriter returns a trace Writer on w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
-
-// Write appends one record.
-func (tw *Writer) Write(r Record) error {
-	if !tw.header {
-		if _, err := tw.w.Write(magic[:]); err != nil {
-			return fmt.Errorf("trace: writing header: %w", err)
-		}
-		tw.header = true
-	}
-	var buf [binary.MaxVarintLen64*2 + 3]byte
-	buf[0] = byte(r.Op)
-	if r.LoadDep != 0 {
-		buf[0] |= 0x80
-	}
-	n := 1
-	if r.LoadDep != 0 {
-		buf[n] = r.LoadDep
-		n++
-	}
-	n += binary.PutVarint(buf[n:], int64(r.PC)-int64(tw.lastPC))
-	tw.lastPC = r.PC
-	if r.Op != NonMem {
-		n += binary.PutUvarint(buf[n:], uint64(r.Addr))
-	}
-	tw.n++
-	if _, err := tw.w.Write(buf[:n]); err != nil {
-		return fmt.Errorf("trace: writing record %d: %w", tw.n, err)
-	}
-	return nil
-}
-
-// Flush writes the magic header if no record has yet (a zero-record
-// trace must still be a self-identifying file, not a zero-byte one)
-// and flushes buffered output.
-func (tw *Writer) Flush() error {
-	if !tw.header {
-		if _, err := tw.w.Write(magic[:]); err != nil {
-			return fmt.Errorf("trace: writing header: %w", err)
-		}
-		tw.header = true
-	}
-	return tw.w.Flush()
-}
-
-// Count returns the number of records written.
-func (tw *Writer) Count() uint64 { return tw.n }
-
-// FileReader decodes a trace written by Writer.
-type FileReader struct {
-	r      *bufio.Reader
-	lastPC uint64
-	header bool
-	err    error
-}
-
-// NewFileReader returns a Reader decoding from r.
-func NewFileReader(r io.Reader) *FileReader { return &FileReader{r: bufio.NewReader(r)} }
-
-// Err returns the first decoding error, if any. A clean EOF — the
-// stream ends exactly at a record boundary after an intact header — is
-// not an error; truncation anywhere else (an empty stream, a partial
-// header, a record cut mid-encoding) surfaces io.ErrUnexpectedEOF so a
-// torn file can never silently pass for a shorter trace.
-func (fr *FileReader) Err() error { return fr.err }
-
-// Next implements Reader.
-func (fr *FileReader) Next() (Record, bool) {
-	if fr.err != nil {
-		return Record{}, false
-	}
-	if !fr.header {
-		var got [4]byte
-		if _, err := io.ReadFull(fr.r, got[:]); err != nil {
-			// Every written trace starts with the magic (Writer.Flush
-			// emits it even for zero records), so an empty stream is a
-			// truncated file, not an empty trace.
-			fr.failMid("header", err)
-			return Record{}, false
-		}
-		if got != magic {
-			fr.err = fmt.Errorf("trace: bad magic %v", got)
-			return Record{}, false
-		}
-		fr.header = true
-	}
-	opByte, err := fr.r.ReadByte()
-	if err != nil {
-		// EOF on the first byte of a record is the one clean end of a
-		// v1 stream; anything else is a real error.
-		if !errors.Is(err, io.EOF) {
-			fr.err = fmt.Errorf("trace: decoding: %w", err)
-		}
-		return Record{}, false
-	}
-	var rec Record
-	rec.Op = Op(opByte & 0x7F)
-	if rec.Op > Store {
-		fr.err = fmt.Errorf("trace: bad op %d", rec.Op)
-		return Record{}, false
-	}
-	if opByte&0x80 != 0 {
-		dep, err := fr.r.ReadByte()
-		if err != nil {
-			fr.failMid("record", err)
-			return Record{}, false
-		}
-		rec.LoadDep = dep
-	}
-	dpc, err := binary.ReadVarint(fr.r)
-	if err != nil {
-		fr.failMid("record", err)
-		return Record{}, false
-	}
-	fr.lastPC = uint64(int64(fr.lastPC) + dpc)
-	rec.PC = fr.lastPC
-	if rec.Op != NonMem {
-		addr, err := binary.ReadUvarint(fr.r)
-		if err != nil {
-			fr.failMid("record", err)
-			return Record{}, false
-		}
-		rec.Addr = mem.Addr(addr)
-	}
-	return rec, true
-}
-
-// Decoder is a streaming trace decoder: a Reader whose exhaustion can
-// be distinguished from failure. Both file codecs (v1 FileReader, v2
-// ReaderV2) implement it; NewDecoder picks the right one by magic.
-type Decoder interface {
-	Reader
-	// Err returns the first decoding error, nil after a clean end.
-	Err() error
-}
-
-// NewDecoder sniffs the 4-byte magic and returns the matching decoder:
-// the v1 raw-varint FileReader for TRC\x01 files, the framed
-// block-compressed ReaderV2 for TRC2 files. Unknown or short magic is
-// left to the v1 reader, which reports it as a header error.
-func NewDecoder(r io.Reader) Decoder {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	hdr, _ := br.Peek(4)
-	if len(hdr) == 4 && [4]byte(hdr) == magicV2 {
-		return NewReaderV2(br)
-	}
-	return NewFileReader(br)
-}
-
 // Offset wraps r, adding base to the data address of every memory
 // record (PCs are left alone: per-core prefetchers localize on them
 // independently). It is how one materialized trace replays on several
@@ -309,16 +134,4 @@ func (o *offsetReader) Next() (Record, bool) {
 		rec.Addr += o.base
 	}
 	return rec, ok
-}
-
-// failMid records a failure at a point where the stream cannot
-// legitimately end: past the op byte of a record, or inside the
-// header. io.EOF here means truncation and is reported as
-// io.ErrUnexpectedEOF rather than swallowed.
-func (fr *FileReader) failMid(where string, err error) {
-	if errors.Is(err, io.EOF) {
-		fr.err = fmt.Errorf("trace: truncated %s: %w", where, io.ErrUnexpectedEOF)
-		return
-	}
-	fr.err = fmt.Errorf("trace: decoding %s: %w", where, err)
 }

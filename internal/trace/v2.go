@@ -1,19 +1,23 @@
-// TRC2: the framed, block-compressed trace container.
+// TRC2: the framed, block-compressed trace container, and the only
+// trace format the system writes or reads.
 //
-// The v1 codec is a raw varint stream — compact, but with no framing a
-// file truncated mid-stream at a record boundary decodes as a clean,
-// shorter trace, silently shortening every figure built from it. TRC2
-// applies the PR 5 durability discipline to traces:
+// The records themselves are a compact varint stream, but an unframed
+// stream cannot tell a file cut at a record boundary from its end: the
+// cut decodes as a clean, shorter trace, silently shortening every
+// figure built from it. TRC2 applies the checkpoint store's durability
+// discipline to traces:
 //
 //	file   := "TRC2" frame* footerFrame
 //	frame  := kind(1) | len(u32 LE) | crc32c(payload)(u32 LE) | payload
 //
 // A 'B' frame's payload is a DEFLATE-compressed block of records: a
-// uvarint record count followed by the records in the v1 per-record
-// encoding, with the PC delta chain reset at each block start so every
-// block decodes independently. The final 'F' frame's payload (stored
-// uncompressed) is the total record count and the SHA-256 content hash
-// of the canonical record stream. Every payload byte is covered by a
+// uvarint record count followed by the records, each an op byte (bit 7
+// set when a LoadDep byte follows), the signed varint PC delta from
+// the previous record and, for a load or store, the uvarint address.
+// The PC delta chain resets at each block start so every block decodes
+// independently. The final 'F' frame's payload (stored uncompressed)
+// is the total record count and the SHA-256 content hash of the
+// canonical record stream. Every payload byte is covered by a
 // CRC32-C; the framing fields themselves are cross-checked by
 // structure (kind whitelist, length caps, footer totals), so a torn or
 // bit-flipped file is detected and reported — never silently dropped
@@ -284,7 +288,9 @@ func (tw *WriterV2) ContentHash() string {
 // stream is exhausted, Err is nil only if the file ended with an
 // intact footer whose record count and content hash match what was
 // decoded — a torn, truncated, or bit-flipped file always reports an
-// error.
+// error. A stream that does not start with "TRC2", such as a file in
+// the retired unframed "TRC\x01" format, yields no record and a
+// bad-magic error.
 type ReaderV2 struct {
 	r   *bufio.Reader
 	err error

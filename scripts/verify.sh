@@ -47,10 +47,9 @@ go test -run 'TestCheckpointV2Refused|TestCheckpointMidFile|TestCheckpointCrash|
 go test -run 'TestDegraded|TestSubmitRejected|TestChaos' ./internal/service
 
 # Fuzz the hostile-input parsers briefly: the checkpoint record
-# scanner, the job-spec decoder, and both binary trace decoders.
+# scanner, the job-spec decoder, and the TRC2 trace decoder.
 go test -run '^$' -fuzz '^FuzzCheckpointParse$' -fuzztime 5s ./internal/experiments
 go test -run '^$' -fuzz '^FuzzJobSpecDecode$' -fuzztime 5s ./internal/service
-go test -run '^$' -fuzz '^FuzzTraceDecode$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzTraceV2Decode$' -fuzztime 5s ./internal/trace
 
 # End-to-end smoke: one small figure through the experiment driver, and
@@ -212,6 +211,16 @@ tid=$("$smokedir/tracegen" -bench mcf -seed 42 -n 700000 -base $((1<<40)) \
 "$smokedir/triagesim" -corpus "$smokedir/corpus" -trace "$tid" -pf triage-1m \
     -warmup 100000 -measure 200000 -json "$smokedir/replay.json" >/dev/null
 cmp "$smokedir/gen.json" "$smokedir/replay.json"
+# The standalone-file path: tracegen -o writes TRC2, -inspect reads all
+# of it back, and a copy with its last bytes cut off must fail -inspect.
+"$smokedir/tracegen" -bench mcf -n 100000 -o "$smokedir/mcf.trc2" >/dev/null
+"$smokedir/tracegen" -inspect "$smokedir/mcf.trc2" | grep -q 'records      : 100000$'
+size=$(wc -c <"$smokedir/mcf.trc2")
+head -c $((size - 5)) "$smokedir/mcf.trc2" >"$smokedir/torn.trc2"
+if "$smokedir/tracegen" -inspect "$smokedir/torn.trc2" >/dev/null 2>&1; then
+    echo "tracegen -inspect read a torn TRC2 file" >&2
+    exit 1
+fi
 
 # Cluster smoke: the same two figures run once on a plain single-node
 # triaged and once distributed across a coordinator plus two worker
