@@ -17,8 +17,11 @@
 // busy workers, ETA) to stderr; -cpuprofile/-memprofile write pprof
 // profiles.
 //
-// Fault tolerance: -resume DIR checkpoints completed runs and restarts
+// Fault tolerance: -resume DIR checkpoints every completed cell
+// (single-core, changed-machine and multi-core alike; only fig01's run,
+// whose Triage instance the figure reads, is not a cell) and restarts
 // only the missing ones after an interruption (output byte-identical);
+// over a complete store nothing is simulated;
 // -deadline/-stall abort stuck runs; a panicking or aborted cell
 // degrades into an error row/table while siblings complete, and the
 // process exits nonzero. -check N asserts simulator structural

@@ -7,15 +7,17 @@
 //	sweep -bench mcf -sizes 128,256,512,1024 -degrees 1,2,4 [-llc 1,2,4] [-repl lru,hawkeye] [-j N]
 //
 // Each configuration is simulated against its own no-prefetch baseline
-// at the same LLC size, so the speedup isolates the prefetcher. -j
-// runs up to N simulations concurrently; rows still print in sweep
-// order, so the CSV is byte-identical for any -j.
+// at the same LLC size, so the speedup isolates the prefetcher. Every
+// point is a figure-engine cell (experiments.Runner.SingleCell) on a
+// pool of -j workers; rows still print in sweep order, so the CSV is
+// byte-identical for any -j.
 //
 // -resume DIR persists completed cells; an interrupted sweep rerun
 // with the same flags simulates only the missing ones and emits
-// identical CSV. -deadline/-stall abort stuck cells (rendered as
-// ERROR rows, exit nonzero); -check N asserts simulator invariants
-// every N instructions (see EXPERIMENTS.md "Fault tolerance").
+// identical CSV, and a rerun of a finished sweep simulates nothing.
+// -deadline/-stall abort stuck cells (rendered as ERROR rows, exit
+// nonzero); -check N asserts simulator invariants every N
+// instructions (see EXPERIMENTS.md "Fault tolerance").
 package main
 
 import (
@@ -35,7 +37,6 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -101,157 +102,105 @@ func main() {
 	}
 
 	replList := strings.Split(*repls, ",")
-
-	// Every cell counts as one progress unit, plus the per-LLC baselines:
-	// the cell count is known up front, so the ETA is exact in runs.
-	cellCount := len(llcList) * (1 + len(sizeList)*len(degreeList)*len(replList))
-	var prog *telemetry.PoolProgress
-	if *progress {
-		prog = telemetry.NewPoolProgress(cellCount)
-		stop := telemetry.StartPrinter(os.Stderr, prog, 2*time.Second)
-		defer stop()
-	}
-	mkHooks := func() *telemetry.Hooks {
-		if prog == nil {
-			return nil
-		}
-		return &telemetry.Hooks{Progress: prog}
+	for i := range replList {
+		replList[i] = strings.TrimSpace(replList[i])
 	}
 
+	// The window and seed are Params, so they stamp the checkpoint; the
+	// LLC size, store size, degree and policy name each cell.
+	p := experiments.Params{
+		Warmup: *warmup, Measure: *measure, Seed: *seed,
+		Deadline: *wd.Deadline, StallTimeout: *wd.Stall, CheckEvery: *check,
+	}
 	var ck *experiments.Checkpoint
 	if *resume != "" {
-		// Sweep cell keys don't carry the instruction windows or seed, so
-		// the store is stamped with a fingerprint of them: resuming with
-		// different -warmup/-measure/-seed is refused, not silently mixed.
-		fp := experiments.Params{Warmup: *warmup, Measure: *measure, Seed: *seed}.Fingerprint(config.Default(1))
-		var err error
-		ck, err = experiments.OpenCheckpoint(*resume, fp)
+		// The store is stamped with the Params' fingerprint, so resuming
+		// with different -warmup/-measure/-seed is refused, not silently
+		// mixed.
+		ck, err = experiments.OpenCheckpoint(*resume, p.Fingerprint(config.Default(1)))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 
-	run := func(llcMB int, pf prefetch.Prefetcher, hooks *telemetry.Hooks) sim.Result {
-		m := config.Default(1)
-		m.LLCBytesPerCore = llcMB << 20
-		// No warm-snapshot key: every cell key is distinct within a
-		// sweep, so a stored snapshot would never be restored.
-		machine, err := sim.New(sim.Options{
-			Machine:             m,
-			Workloads:           []trace.Reader{spec.New(*seed, 0)},
-			Prefetchers:         []prefetch.Prefetcher{pf},
-			WarmupInstructions:  *warmup,
-			MeasureInstructions: *measure,
-			Telemetry:           hooks,
-			CheckEvery:          *check,
-		})
-		if err != nil {
-			panic(err) // recovered by the pool into the cell's RunError
-		}
-		res := machine.Run()
-		if prog != nil {
-			prog.RunDone()
-			prog.UnitDone()
-		}
-		return res
+	// Every cell counts as one progress unit, plus the per-LLC baselines:
+	// the cell count is known up front, so the ETA is exact in cells.
+	pool := experiments.NewPool(*jobs)
+	var prog *telemetry.PoolProgress
+	if *progress {
+		prog = telemetry.NewPoolProgress(len(llcList) * (1 + len(sizeList)*len(degreeList)*len(replList)))
+		pool.SetProgress(prog)
+		stop := telemetry.StartPrinter(os.Stderr, prog, 2*time.Second)
+		defer stop()
 	}
+	runner := experiments.NewRunnerPool(p, pool)
+	runner.SetCheckpoint(ck)
 
 	// Launch every point on the pool, then collect in sweep order so the
-	// CSV is identical regardless of -j. Checkpointed cells resolve from
-	// disk; Put runs inside the pooled closure so a cell completed but
-	// not yet collected still persists before a kill.
-	pool := experiments.NewPool(*jobs)
-	if prog != nil {
-		pool.SetProgress(prog)
+	// CSV is identical regardless of -j.
+	type point struct {
+		sizeKB, degree int
+		repl           string
+		f              *experiments.Future[sim.Result]
 	}
-	restored := 0
-	schedule := func(key string, job func(*telemetry.Hooks) sim.Result) *experiments.Future[sim.Result] {
-		if ck != nil {
-			if res, _, ok := ck.Get(key); ok {
-				restored++
-				return experiments.Resolved(res)
-			}
-		}
-		return experiments.Go(pool, func() sim.Result {
-			res := experiments.Guarded(key, *wd.Deadline, *wd.Stall, mkHooks, job)
-			if ck != nil {
-				ck.Put(key, res, nil)
-			}
-			return res
-		})
-	}
-	baseFs := make([]*experiments.Future[sim.Result], len(llcList))
-	cellFs := make(map[[4]int]*experiments.Future[sim.Result])
+	noPF := func(config.Machine) prefetch.Prefetcher { return nil }
+	llcTicks := uint64(config.Default(1).LLCLatency) * dram.TicksPerCycle
+	bases := make([]*experiments.Future[sim.Result], len(llcList))
+	points := make([][]point, len(llcList))
 	for li, llcMB := range llcList {
-		llcMB := llcMB
-		baseKey := fmt.Sprintf("%s/llc%dMB/base", *bench, llcMB)
-		baseFs[li] = schedule(baseKey, func(hooks *telemetry.Hooks) sim.Result {
-			return run(llcMB, nil, hooks)
-		})
-		for si, sizeKB := range sizeList {
-			for di, d := range degreeList {
-				for ri, repl := range replList {
-					llcMB, sizeKB, d := llcMB, sizeKB, d
-					replName := strings.TrimSpace(repl)
-					r := core.Hawkeye
-					if replName == "lru" {
-						r = core.LRU
+		bases[li] = runner.SingleCell(spec, "NoL2PF", llcMB<<20, noPF)
+		for _, sizeKB := range sizeList {
+			for _, d := range degreeList {
+				for _, repl := range replList {
+					tc := core.Config{Mode: core.Static, StaticBytes: sizeKB << 10, Degree: d, LLCLatencyTicks: llcTicks}
+					if repl == "lru" {
+						tc.Replacement = core.LRU
 					}
-					key := fmt.Sprintf("%s/llc%dMB/%dKB/d%d/%s", *bench, llcMB, sizeKB, d, replName)
-					cellFs[[4]int{li, si, di, ri}] = schedule(key, func(hooks *telemetry.Hooks) sim.Result {
-						m := config.Default(1)
-						tri := core.New(core.Config{
-							Mode:            core.Static,
-							StaticBytes:     sizeKB << 10,
-							Degree:          d,
-							Replacement:     r,
-							LLCLatencyTicks: uint64(m.LLCLatency) * dram.TicksPerCycle,
-						})
-						return run(llcMB, tri, hooks)
+					name := fmt.Sprintf("Triage_%dKB_d%d_%s", sizeKB, d, repl)
+					f := runner.SingleCell(spec, name, llcMB<<20, func(config.Machine) prefetch.Prefetcher {
+						return core.New(tc)
 					})
+					points[li] = append(points[li], point{sizeKB, d, repl, f})
 				}
 			}
 		}
 	}
 
 	failed := false
-	cellFail := func(err *experiments.RunError) {
-		failed = true
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		if len(err.Stack) > 0 {
-			os.Stderr.Write(err.Stack)
+	collect := func(f *experiments.Future[sim.Result]) (sim.Result, bool) {
+		res, err := f.Result()
+		if prog != nil {
+			prog.UnitDone()
 		}
+		if err != nil {
+			failed = true
+			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+			if len(err.Stack) > 0 {
+				os.Stderr.Write(err.Stack)
+			}
+		}
+		return res, err == nil
 	}
 	fmt.Println("bench,llc_mb,store_kb,degree,replacement,speedup,coverage,accuracy,traffic_overhead_pct")
 	for li, llcMB := range llcList {
-		base, berr := baseFs[li].Result()
-		if berr != nil {
-			cellFail(berr)
-		}
-		for si, sizeKB := range sizeList {
-			for di, d := range degreeList {
-				for ri, repl := range replList {
-					res, err := cellFs[[4]int{li, si, di, ri}].Result()
-					if err != nil {
-						cellFail(err)
-					}
-					if berr != nil || err != nil {
-						fmt.Printf("%s,%d,%d,%d,%s,ERROR,ERROR,ERROR,ERROR\n",
-							*bench, llcMB, sizeKB, d, strings.TrimSpace(repl))
-						continue
-					}
-					fmt.Printf("%s,%d,%d,%d,%s,%.4f,%.4f,%.4f,%.1f\n",
-						*bench, llcMB, sizeKB, d, strings.TrimSpace(repl),
-						res.SpeedupOver(base), res.CoverageOver(base),
-						res.Accuracy(), res.TrafficOverheadPct(base))
-				}
+		base, baseOK := collect(bases[li])
+		for _, pt := range points[li] {
+			res, ok := collect(pt.f)
+			if !baseOK || !ok {
+				fmt.Printf("%s,%d,%d,%d,%s,ERROR,ERROR,ERROR,ERROR\n",
+					*bench, llcMB, pt.sizeKB, pt.degree, pt.repl)
+				continue
 			}
+			fmt.Printf("%s,%d,%d,%d,%s,%.4f,%.4f,%.4f,%.1f\n",
+				*bench, llcMB, pt.sizeKB, pt.degree, pt.repl,
+				res.SpeedupOver(base), res.CoverageOver(base),
+				res.Accuracy(), res.TrafficOverheadPct(base))
 		}
 	}
 	if ck != nil {
 		fmt.Fprintf(os.Stderr, "checkpoint: %d cells restored, %d simulated\n",
-			restored, cellCount-restored)
+			runner.Restored(), runner.Runs())
 		if err := ck.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "warning: checkpoint: %v\n", err)
 		}

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/dram"
@@ -117,7 +116,7 @@ func main() {
 		os.Exit(2)
 	}
 	var hooks *telemetry.Hooks
-	if *sample > 0 || *eventsOut != "" || wd.Armed() {
+	if *sample > 0 || *eventsOut != "" {
 		hooks = &telemetry.Hooks{}
 		if *sample > 0 {
 			hooks.Sampler = telemetry.NewSampler(*sample)
@@ -125,18 +124,26 @@ func main() {
 		if *eventsOut != "" {
 			hooks.Events = telemetry.NewEventTrace(*eventCap)
 		}
-		if wd.Armed() {
-			hooks.Watch = telemetry.NewRunWatch()
-		}
 	}
 	stopProf, err := prof.Start(os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	res, err := runGuarded(rs, hooks, *wd.Deadline, *wd.Stall)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	// The spec runs as service.Execute runs a single job: on a pool,
+	// under the -deadline/-stall watchdog Guarded arms, with a panic or
+	// abort returned as a RunError naming the spec's key.
+	res, rerr := experiments.Go(experiments.NewPool(1), func() sim.Result {
+		return experiments.Guarded(rs.Key(), *wd.Deadline, *wd.Stall, func() *telemetry.Hooks { return hooks }, func(h *telemetry.Hooks) sim.Result {
+			res, err := rs.Run(h)
+			if err != nil {
+				panic(err)
+			}
+			return res
+		})
+	}).Result()
+	if rerr != nil {
+		fmt.Fprintln(os.Stderr, rerr)
 		os.Exit(1)
 	}
 	stopProf()
@@ -179,28 +186,6 @@ func main() {
 		fmt.Printf("events       : %d total (last %d kept) -> %s\n",
 			hooks.Events.Total(), len(hooks.Events.Events()), *eventsOut)
 	}
-}
-
-// runGuarded executes the spec under an optional watchdog, converting
-// a watchdog abort (or an invariant-check panic) into an error instead
-// of a raw panic.
-func runGuarded(rs experiments.RunSpec, hooks *telemetry.Hooks, deadline, stall time.Duration) (res sim.Result, err error) {
-	if hooks != nil && hooks.Watch != nil {
-		defer telemetry.StartWatchdog(hooks.Watch, deadline, stall)()
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			switch v := rec.(type) {
-			case *sim.Aborted:
-				err = v
-			case error:
-				err = v
-			default:
-				err = fmt.Errorf("%v", v)
-			}
-		}
-	}()
-	return rs.Run(hooks)
 }
 
 // writeTelemetry flushes the sampled series and event trace to disk.

@@ -153,9 +153,6 @@ func (c *Cache) Name() string { return c.name }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
-// Ways returns the total associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 // DataWays returns the ways currently available to data.
 func (c *Cache) DataWays() int { return c.dataWays }
 

@@ -67,6 +67,3 @@ func AddWatchdog(fs *flag.FlagSet) *Watchdog {
 		Stall:    fs.Duration("stall", 0, "per-run stall timeout (0 = none); a simulation making no instruction progress for this long is aborted"),
 	}
 }
-
-// Armed reports whether either bound is set.
-func (w *Watchdog) Armed() bool { return *w.Deadline > 0 || *w.Stall > 0 }

@@ -53,23 +53,23 @@ func TestWatchdogFlags(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if w.Armed() {
-		t.Error("watchdog armed with no flags set")
+	if *w.Deadline != 0 || *w.Stall != 0 {
+		t.Errorf("watchdog bounds %v/%v with no flags set, want none", *w.Deadline, *w.Stall)
 	}
 	fs2 := flag.NewFlagSet("t", flag.ContinueOnError)
 	w2 := AddWatchdog(fs2)
 	if err := fs2.Parse([]string{"-deadline", "3s"}); err != nil {
 		t.Fatal(err)
 	}
-	if !w2.Armed() || *w2.Deadline != 3*time.Second {
-		t.Errorf("parsed deadline %v armed=%t, want 3s armed", *w2.Deadline, w2.Armed())
+	if *w2.Deadline != 3*time.Second || *w2.Stall != 0 {
+		t.Errorf("parsed deadline %v stall %v, want 3s and none", *w2.Deadline, *w2.Stall)
 	}
 	fs3 := flag.NewFlagSet("t", flag.ContinueOnError)
 	w3 := AddWatchdog(fs3)
 	if err := fs3.Parse([]string{"-stall", "1s"}); err != nil {
 		t.Fatal(err)
 	}
-	if !w3.Armed() {
-		t.Error("stall alone should arm the watchdog")
+	if *w3.Stall != time.Second || *w3.Deadline != 0 {
+		t.Errorf("parsed stall %v deadline %v, want 1s and none", *w3.Stall, *w3.Deadline)
 	}
 }

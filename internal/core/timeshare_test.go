@@ -65,19 +65,6 @@ func TestLadderName(t *testing.T) {
 	}
 }
 
-func TestLadderCustomRungs(t *testing.T) {
-	tr := New(Config{
-		Mode:          DynamicLadder,
-		Ladder:        []int{128 << 10, 1 << 20},
-		EpochAccesses: 240_000,
-	})
-	// 60K-entry rotation: beyond 128KB (16/set), within 1MB (128/set).
-	driveLadder(tr, 60<<10, 960_000)
-	if got := tr.DesiredMetadataBytes(); got != 1<<20 {
-		t.Errorf("choice %dKB, want the 1MB rung", got>>10)
-	}
-}
-
 func TestLadderPrediction(t *testing.T) {
 	// The ladder mode must still prefetch like any Triage: learn a pair
 	// and replay it.

@@ -64,13 +64,18 @@ const (
 )
 
 // The Dynamic modes choose between two metadata store sizes per core
-// (paper: 512KB and 1MB), and the metadata Hawkeye's PC predictor has
-// 2^13 (8K) counters.
+// (paper: 512KB and 1MB), the metadata Hawkeye's PC predictor has 2^13
+// (8K) counters, and the training unit keeps the last address of 256
+// PCs.
 const (
-	smallBytes    = 512 << 10
-	largeBytes    = 1 << 20
-	predictorBits = 13
+	smallBytes       = 512 << 10
+	largeBytes       = 1 << 20
+	predictorBits    = 13
+	trainingUnitSize = 256
 )
+
+// ladderRungs are DynamicLadder's candidate store sizes, ascending.
+var ladderRungs = []int{256 << 10, 512 << 10, 1 << 20, 2 << 20}
 
 // Config parameterizes a Triage instance.
 type Config struct {
@@ -87,14 +92,9 @@ type Config struct {
 	// LLCLatencyTicks is the cost of one LLC-resident metadata lookup,
 	// charged as issue delay on prefetch requests (~20 cycles, §3).
 	LLCLatencyTicks uint64
-	// TrainingUnitSize bounds the PC-indexed last-address table.
-	TrainingUnitSize int
 	// EpochAccesses is the partition re-evaluation period in metadata
 	// accesses (paper: 50,000).
 	EpochAccesses int
-	// Ladder lists the candidate store sizes for DynamicLadder mode,
-	// ascending (default 256KB, 512KB, 1MB, 2MB).
-	Ladder []int
 }
 
 func (c *Config) applyDefaults() {
@@ -103,9 +103,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Degree == 0 {
 		c.Degree = 1
-	}
-	if c.TrainingUnitSize == 0 {
-		c.TrainingUnitSize = 256
 	}
 	if c.EpochAccesses == 0 {
 		c.EpochAccesses = 50000
@@ -135,7 +132,7 @@ type Triage struct {
 	pred *replacement.Predictor
 
 	// tu is the training unit: PC -> last line, bounded by
-	// TrainingUnitSize with FIFO eviction. Updates go through At (no
+	// trainingUnitSize with FIFO eviction. Updates go through At (no
 	// LRU promotion), so the flat table's recency order degenerates to
 	// insertion order — exactly the original FIFO.
 	tu *flat.LRU[uint64]
@@ -184,7 +181,7 @@ func New(cfg Config) *Triage {
 		cfg:     cfg,
 		env:     prefetch.NopEnv{},
 		pred:    replacement.NewPredictor(predictorBits),
-		tu:      flat.NewLRU[uint64](cfg.TrainingUnitSize),
+		tu:      flat.NewLRU[uint64](trainingUnitSize),
 		pending: make(map[mem.Line]pendingObs),
 	}
 	switch cfg.Mode {
@@ -206,14 +203,10 @@ func New(cfg Config) *Triage {
 				(largeBytes+bytesPerWay/2)/bytesPerWay)
 		}
 	case DynamicLadder:
-		ladder := cfg.Ladder
-		if len(ladder) == 0 {
-			ladder = []int{256 << 10, 512 << 10, 1 << 20, 2 << 20}
-		}
-		assoc := ladder[len(ladder)-1] / bytesPerEntry / metadataSets
+		assoc := ladderRungs[len(ladderRungs)-1] / bytesPerEntry / metadataSets
 		t.store = newStore(assoc, cfg.Replacement == Hawkeye, t.pred)
 		t.store.resize(0)
-		t.ladder = newTimeShareSizer(ladder, cfg.EpochAccesses)
+		t.ladder = newTimeShareSizer(ladderRungs, cfg.EpochAccesses)
 	}
 	if cfg.Replacement == Hawkeye && (cfg.Mode == Static || cfg.Mode == DynamicLadder) {
 		t.trainer = replacement.NewSandbox(sampleEvery, maxTracked, t.store.maxAssoc)
@@ -293,14 +286,6 @@ func (t *Triage) DesiredMetadataBytes() int {
 // MetadataAccesses returns the number of LLC accesses made on behalf of
 // metadata (1 energy unit each in Fig. 13's model).
 func (t *Triage) MetadataAccesses() uint64 { return t.metadataAccesses }
-
-// LookupHitRate returns the metadata store hit rate (tests, reports).
-func (t *Triage) LookupHitRate() float64 {
-	if t.lookups == 0 {
-		return 0
-	}
-	return float64(t.lookupHits) / float64(t.lookups)
-}
 
 // ReuseCounts returns per-trigger metadata reuse counts (Fig. 1). Only
 // Unlimited mode tracks every entry; other modes return nil.

@@ -233,12 +233,13 @@ func TestPrefetchOutcomeFiltersRedundant(t *testing.T) {
 }
 
 func TestTrainingUnitBounded(t *testing.T) {
-	tr := New(Config{Mode: Static, TrainingUnitSize: 8})
-	for pc := uint64(0); pc < 100; pc++ {
+	tr := New(Config{Mode: Static})
+	for pc := uint64(0); pc < 4*trainingUnitSize; pc++ {
 		tr.Train(miss(pc, mem.Line(pc*10)))
 	}
-	if tr.tu.Len() > 8 {
-		t.Errorf("training unit grew to %d entries, bound 8", tr.tu.Len())
+	if tr.tu.Len() != trainingUnitSize {
+		t.Errorf("training unit holds %d entries after %d PCs, want its bound %d",
+			tr.tu.Len(), 4*trainingUnitSize, trainingUnitSize)
 	}
 }
 

@@ -68,6 +68,34 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumesEveryCellKind runs a figure of each cell kind
+// with a checkpoint attached: Table 1 and changed-machine single-core
+// cells (fig07's capacity-loss breakdown, sens-latency's extra LLC
+// cycles, ext-llc-policy's Hawkeye LLC) and multi-core mixes (fig16). A
+// second invocation over the store must simulate nothing, restore
+// every cell the first simulated and print identical tables.
+func TestCheckpointResumesEveryCellKind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test")
+	}
+	ids := []string{"fig07", "sens-latency", "ext-llc-policy", "fig16"}
+	dir := t.TempDir()
+	first, r1 := runWithCheckpoint(t, dir, ids)
+	if r1.Runs() == 0 {
+		t.Fatal("first run simulated nothing")
+	}
+	second, r2 := runWithCheckpoint(t, dir, ids)
+	if got := r2.Runs(); got != 0 {
+		t.Errorf("resumed run re-simulated %d of %d cells, want 0", got, r1.Runs())
+	}
+	if r2.Restored() != r1.Runs() {
+		t.Errorf("restored %d cells, want the %d the first run simulated", r2.Restored(), r1.Runs())
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("resumed CSV differs from the original:\n--- fresh ---\n%s\n--- resumed ---\n%s", first, second)
+	}
+}
+
 // TestCheckpointPartialResume truncates the store to half its records
 // (modelling a killed sweep) and verifies the resumed run simulates
 // only the missing cells while still producing identical output.

@@ -15,7 +15,7 @@ import (
 // runs complete.
 type RunError struct {
 	// Key is the run's cell key ("bench/config" for single-core
-	// cells); "run" for jobs scheduled outside a Runner.
+	// cells on Table 1's machine); "run" when none was given.
 	Key string
 	// Reason classifies the failure: "panic", "aborted" (watchdog
 	// deadline/stall), or "fault" (injected by Params.FaultHook).

@@ -213,18 +213,19 @@ func TestMultiCoreFigureSmoke(t *testing.T) {
 	}
 }
 
-// TestRunnerCaching verifies that repeated single() calls reuse results.
+// TestRunnerCaching verifies that repeated requests for a cell reuse
+// its result.
 func TestRunnerCaching(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
 	}
 	r := NewRunner(tinyParams())
 	spec := irregularSpec(t)
-	a := r.single(spec, cfgNone)
+	a := r.singleF(spec, cfgNone).Wait()
 	before := r.pool.memo.len()
-	b := r.single(spec, cfgNone)
+	b := r.singleF(spec, cfgNone).Wait()
 	if r.pool.memo.len() != before {
-		t.Error("second single() call grew the memo")
+		t.Error("second request for the cell grew the memo")
 	}
 	if r.Runs() != 1 {
 		t.Errorf("Runs() = %d, want 1", r.Runs())

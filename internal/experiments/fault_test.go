@@ -59,9 +59,9 @@ func TestPanicIsolationProducesErrorTable(t *testing.T) {
 		ID:    "boom",
 		Short: "injected panicking workload",
 		Run: func(r *Runner) *Table {
-			f := r.runSingleF(spec, func(config.Machine) prefetch.Prefetcher {
+			f := r.changedF(spec, namedPF{"boom", func(config.Machine) prefetch.Prefetcher {
 				panic("injected workload panic")
-			}, nil)
+			}}, machineChange{LLCBytes: 1 << 20})
 			f.Wait()
 			return &Table{ID: "boom"}
 		},
@@ -84,6 +84,9 @@ func TestPanicIsolationProducesErrorTable(t *testing.T) {
 	}
 	if !strings.Contains(rows.String(), "injected workload panic") {
 		t.Errorf("error row omits the panic message:\n%s", rows.String())
+	}
+	if !strings.Contains(rows.String(), spec.Name+"/llc1024KB/boom failed") {
+		t.Errorf("error row does not name the cell's key:\n%s", rows.String())
 	}
 	notes := strings.Join(bad.Notes, "\n")
 	if !strings.Contains(notes, "fault_test.go") {

@@ -129,9 +129,7 @@ func (r *Runner) ExtLLCPolicy() *Table {
 	bases, cells := r.launchGrid(suite, []namedPF{cfgT1M})
 	hawkFs := make([]*Future[sim.Result], len(suite))
 	for si, spec := range suite {
-		hawkFs[si] = r.runSingleF(spec, pfTriageStatic(1<<20), func(o *sim.Options) {
-			o.LLCPolicy = "hawkeye"
-		})
+		hawkFs[si] = r.changedF(spec, cfgT1M, machineChange{LLCPolicy: "hawkeye"})
 	}
 	var lru, hawk []float64
 	for si, spec := range suite {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -31,8 +32,8 @@ type Runner struct {
 	mu   sync.Mutex
 	used map[string]*memoCell // cells this runner asked for, by key
 
-	// ckpt, when set, persists every completed single-core cell and
-	// satisfies repeat keys from disk (resume of an interrupted sweep).
+	// ckpt, when set, persists every completed cell and satisfies
+	// repeat keys from disk (resume of an interrupted run).
 	ckpt *Checkpoint
 
 	// graphs shares shuffled chase graphs between the readers this
@@ -45,10 +46,10 @@ type Runner struct {
 }
 
 // SetCheckpoint attaches an on-disk store of completed runs. Call
-// before scheduling work: single-core cells already in the store
-// resolve from disk, and newly simulated ones are appended as they
-// finish. A cell another Runner on the pool already holds in the memo
-// is served from there and not appended.
+// before scheduling work: cells already in the store resolve from
+// disk, and newly simulated ones are appended as they finish. A cell
+// another Runner on the pool already holds in the memo is served from
+// there and not appended.
 func (r *Runner) SetCheckpoint(c *Checkpoint) { r.ckpt = c }
 
 // NewRunner returns a Runner with the given parameters and a pool
@@ -85,11 +86,6 @@ type namedPF struct {
 	f    pfFactory
 }
 
-// single runs (and caches) one benchmark x prefetcher configuration.
-func (r *Runner) single(spec workload.Spec, cfg namedPF) sim.Result {
-	return r.singleF(spec, cfg).Wait()
-}
-
 var (
 	cfgNone      = namedPF{"NoL2PF", pfNone}
 	cfgBO        = namedPF{"BO", pfBO}
@@ -108,7 +104,9 @@ var (
 
 // Fig01 reproduces the metadata reuse distribution (Fig. 1): an
 // unlimited-metadata Triage on the mcf-like workload, reporting the
-// reuse-count distribution over metadata entries.
+// reuse-count distribution over metadata entries. It is the one run
+// outside the cell memo: the figure reads the run's Triage instance
+// afterwards, which no stored result holds.
 func (r *Runner) Fig01() *Table {
 	spec, _ := workload.ByName("mcf")
 	var captured *core.Triage
@@ -116,7 +114,11 @@ func (r *Runner) Fig01() *Table {
 		captured = core.New(core.Config{Mode: core.Unlimited, LLCLatencyTicks: llcTicks(m)})
 		return captured
 	}
-	r.runSingleF(spec, factory, nil).Wait()
+	Go(r.pool, func() sim.Result {
+		return r.execute(spec.Name+"/reuse", func(hooks *telemetry.Hooks) sim.Result {
+			return r.record(runSingle(r.P, r.graphs, spec, factory, machineChange{}, hooks))
+		})
+	}).Wait()
 	counts := captured.ReuseCounts()
 	sort.Slice(counts, func(i, j int) bool { return counts[i] > counts[j] })
 
@@ -297,13 +299,9 @@ func (r *Runner) Fig07() *Table {
 	for si, spec := range suite {
 		baseFs[si] = r.singleF(spec, cfgNone)
 		// Optimistic: metadata store does not consume LLC capacity.
-		optFs[si] = r.runSingleF(spec, pfTriageStatic(1<<20), func(o *sim.Options) {
-			o.NoCapacityLoss = true
-		})
+		optFs[si] = r.changedF(spec, cfgT1M, machineChange{FreeStore: true})
 		// Capacity loss alone: half-size LLC, no prefetching.
-		smallFs[si] = r.runSingleF(spec, pfNone, func(o *sim.Options) {
-			o.Machine.LLCBytesPerCore = 1 << 20
-		})
+		smallFs[si] = r.changedF(spec, cfgNone, machineChange{LLCBytes: 1 << 20})
 		// Real Triage on the normal machine.
 		realFs[si] = r.singleF(spec, cfgT1M)
 	}
@@ -344,6 +342,7 @@ func (r *Runner) Fig09() *Table {
 	t.Header = []string{"store size", "LRU", "Hawkeye"}
 	suite := workload.IrregularSuite()
 	pols := []core.Replacement{core.LRU, core.Hawkeye}
+	polNames := []string{"LRU", "Hawkeye"}
 	baseFs := make([]*Future[sim.Result], len(suite))
 	perfFs := make([]*Future[sim.Result], len(suite))
 	cellFs := make([][][]*Future[sim.Result], len(sizes)) // [size][spec][pol]
@@ -358,12 +357,13 @@ func (r *Runner) Fig09() *Table {
 			cellFs[zi][si] = make([]*Future[sim.Result], len(pols))
 			for pi, pol := range pols {
 				pol := pol
-				cellFs[zi][si][pi] = r.runSingleF(spec, func(m config.Machine) prefetch.Prefetcher {
+				cfg := namedPF{fmt.Sprintf("Triage_%dKB_%s", size>>10, polNames[pi]), func(m config.Machine) prefetch.Prefetcher {
 					return core.New(core.Config{
 						Mode: core.Static, StaticBytes: size,
 						Replacement: pol, LLCLatencyTicks: llcTicks(m),
 					})
-				}, func(o *sim.Options) { o.NoCapacityLoss = true })
+				}}
+				cellFs[zi][si][pi] = r.changedF(spec, cfg, machineChange{FreeStore: true})
 			}
 		}
 	}
@@ -606,12 +606,9 @@ func (r *Runner) SensLatency() *Table {
 		baseFs[si] = r.singleF(spec, cfgNone) // unpenalized baseline
 	}
 	for xi, extra := range extras {
-		extra := extra
 		cellFs[xi] = make([]*Future[sim.Result], len(suite))
 		for si, spec := range suite {
-			cellFs[xi][si] = r.runSingleF(spec, pfTriageStatic(1<<20), func(o *sim.Options) {
-				o.Machine.LLCExtraLatency = extra
-			})
+			cellFs[xi][si] = r.changedF(spec, cfgT1M, machineChange{ExtraLatency: extra})
 		}
 	}
 	for xi, extra := range extras {

@@ -5,29 +5,77 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/prefetch"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// TestMutatedCellBuildsOnce checks that a mutated single-core cell
-// builds its reader and its prefetcher once, for the mutated machine.
+// TestMutatedCellBuildsOnce checks that a changed-machine cell builds
+// its reader and its prefetcher once, for the changed machine.
 func TestMutatedCellBuildsOnce(t *testing.T) {
 	spec, _ := workload.ByName("mcf")
-	g := workload.NewGraphs()
 	builds := 0
-	factory := func(m config.Machine) prefetch.Prefetcher {
+	cfg := namedPF{"Triage_512KB", func(m config.Machine) prefetch.Prefetcher {
 		builds++
 		if m.LLCExtraLatency != 7 {
-			t.Errorf("prefetcher built for LLCExtraLatency %d, want the mutated 7", m.LLCExtraLatency)
+			t.Errorf("prefetcher built for LLCExtraLatency %d, want the changed 7", m.LLCExtraLatency)
 		}
 		return pfTriageStatic(512 << 10)(m)
-	}
+	}}
 	p := tinyParams()
 	p.Warmup, p.Measure = 2000, 2000
-	runSingle(p, g, spec, factory, func(o *sim.Options) { o.Machine.LLCExtraLatency = 7 }, nil)
-	hits, built, _ := g.Stats()
+	r := NewRunnerPool(p, NewPool(1))
+	if _, err := r.changedF(spec, cfg, machineChange{ExtraLatency: 7}).Result(); err != nil {
+		t.Fatal(err)
+	}
+	hits, built, _ := r.GraphStats()
 	if builds != 1 || hits+built != 1 {
-		t.Fatalf("one mutated cell built %d prefetchers and %d chase readers, want 1 and 1", builds, hits+built)
+		t.Fatalf("one changed cell built %d prefetchers and %d chase readers, want 1 and 1", builds, hits+built)
+	}
+	if r.used["mcf/lat+7/Triage_512KB"] == nil {
+		t.Errorf("the cell is not keyed mcf/lat+7/Triage_512KB: %v", r.used)
+	}
+}
+
+// TestMachineChangeKeys pins how a machine change names a single-core
+// cell: Table 1's machine keeps the "bench/config" key existing resume
+// stores hold, and every field, alone or paired with another, names a
+// cell of its own.
+func TestMachineChangeKeys(t *testing.T) {
+	if got := (machineChange{}).cellKey("mcf", "BO"); got != "mcf/BO" {
+		t.Errorf("Table 1's machine keys the cell %q, want mcf/BO", got)
+	}
+	table1 := machineChange{LLCBytes: config.Default(1).LLCBytesPerCore}
+	if got := table1.cellKey("mcf", "BO"); got != "mcf/BO" {
+		t.Errorf("an LLC of Table 1's size keys the cell %q, want mcf/BO", got)
+	}
+	if got, want := (machineChange{LLCBytes: 1 << 20, FreeStore: true}).cellKey("mcf", "NoL2PF"), "mcf/llc1024KB/freestore/NoL2PF"; got != want {
+		t.Errorf("key %q, want %q", got, want)
+	}
+	fields := []func(*machineChange){
+		func(ch *machineChange) { ch.LLCBytes = 1 << 20 },
+		func(ch *machineChange) { ch.ExtraLatency = 2 },
+		func(ch *machineChange) { ch.LLCPolicy = "hawkeye" },
+		func(ch *machineChange) { ch.FreeStore = true },
+	}
+	seen := map[string]machineChange{"mcf/BO": {}}
+	add := func(ch machineChange) {
+		key := ch.cellKey("mcf", "BO")
+		if prev, dup := seen[key]; dup {
+			t.Errorf("changes %+v and %+v share the key %q", prev, ch, key)
+		}
+		seen[key] = ch
+	}
+	for i, set := range fields {
+		var ch machineChange
+		set(&ch)
+		add(ch)
+		for _, also := range fields[i+1:] {
+			pair := ch
+			also(&pair)
+			add(pair)
+		}
+	}
+	if len(seen) != 1+4+6 {
+		t.Errorf("%d distinct keys, want 11", len(seen))
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -335,7 +337,8 @@ func encodeSamples(hooks *telemetry.Hooks) []byte {
 
 // SampleSeries returns the JSONL time series of every finished
 // memoized cell this runner used, keyed by cell ("bench/config" for
-// single-core cells). Empty unless Params.SampleEvery was set.
+// single-core cells on Table 1's machine). Empty unless
+// Params.SampleEvery was set.
 func (r *Runner) SampleSeries() map[string][]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -362,20 +365,16 @@ func (r *Runner) Restored() uint64 { return r.restored.Load() }
 // runner's simulations, including warmup and contention-sustain work.
 func (r *Runner) SimulatedInstructions() uint64 { return r.simInstr.Load() }
 
-// cell returns the Future of one memoized figure cell, starting run on
-// the pool unless a Runner sharing the pool and these Params already
+// cell returns the Future of one memoized cell, starting run on the
+// pool unless a Runner sharing the pool and these Params already
 // finished or started it. key names the cell within the Params; it
 // must determine the simulation completely (see namedPF). With a
-// checkpoint attached, durable cells already in the store resolve from
-// disk and newly simulated ones are appended to it.
-func (r *Runner) cell(key string, durable bool, run func(*telemetry.Hooks) sim.Result) *Future[sim.Result] {
-	ckpt := r.ckpt
-	if !durable {
-		ckpt = nil
-	}
+// checkpoint attached, cells already in the store resolve from disk
+// and newly simulated ones are appended to it.
+func (r *Runner) cell(key string, run func(*telemetry.Hooks) sim.Result) *Future[sim.Result] {
 	c := r.pool.memo.get(r.memoNS+key, func(c *memoCell) *Future[sim.Result] {
-		if ckpt != nil {
-			if res, samples, hit := ckpt.Get(key); hit {
+		if r.ckpt != nil {
+			if res, samples, hit := r.ckpt.Get(key); hit {
 				c.samples = samples
 				r.restored.Add(1)
 				return Resolved(res)
@@ -394,8 +393,8 @@ func (r *Runner) cell(key string, durable bool, run func(*telemetry.Hooks) sim.R
 				return res
 			})
 			r.pool.memo.simulated.Add(1)
-			if ckpt != nil {
-				ckpt.Put(key, res, c.samples)
+			if r.ckpt != nil {
+				r.ckpt.Put(key, res, c.samples)
 			}
 			ok = true
 			return res
@@ -407,25 +406,27 @@ func (r *Runner) cell(key string, durable bool, run func(*telemetry.Hooks) sim.R
 	return c.f
 }
 
-// singleF returns the Future of one benchmark x prefetcher run on the
-// single-core machine, keyed "bench/config". It is the only durable
-// cell kind: the resume checkpoint holds single-core cells.
+// singleF returns the Future of one benchmark x prefetcher cell on the
+// single-core Table 1 machine, keyed "bench/config".
 func (r *Runner) singleF(spec workload.Spec, cfg namedPF) *Future[sim.Result] {
-	return r.cell(spec.Name+"/"+cfg.name, true, func(hooks *telemetry.Hooks) sim.Result {
-		return runSingle(r.P, r.graphs, spec, cfg.f, nil, hooks)
+	return r.changedF(spec, cfg, machineChange{})
+}
+
+// changedF returns the Future of one benchmark x prefetcher cell on the
+// single-core Table 1 machine changed by ch, keyed by ch.cellKey.
+func (r *Runner) changedF(spec workload.Spec, cfg namedPF, ch machineChange) *Future[sim.Result] {
+	return r.cell(ch.cellKey(spec.Name, cfg.name), func(hooks *telemetry.Hooks) sim.Result {
+		return runSingle(r.P, r.graphs, spec, cfg.f, ch, hooks)
 	})
 }
 
-// runSingleF schedules an unmemoized single-core run on the pool: a
-// mutated machine, or a factory whose instance the figure inspects
-// afterwards (Fig01), has no stable cell name.
-func (r *Runner) runSingleF(spec workload.Spec, factory pfFactory, mutate func(*sim.Options)) *Future[sim.Result] {
-	key := spec.Name + "/adhoc"
-	return Go(r.pool, func() sim.Result {
-		return r.execute(key, func(hooks *telemetry.Hooks) sim.Result {
-			return r.record(runSingle(r.P, r.graphs, spec, factory, mutate, hooks))
-		})
-	})
+// SingleCell returns the Future of one benchmark cell on a single-core
+// Table 1 machine whose LLC holds llcBytes per core (0 keeps Table 1's),
+// running the prefetcher mk builds for that machine (mk returning nil
+// runs none). name is the configuration's part of the cell key, so it
+// must identify mk's configuration (see namedPF).
+func (r *Runner) SingleCell(spec workload.Spec, name string, llcBytes int, mk func(config.Machine) prefetch.Prefetcher) *Future[sim.Result] {
+	return r.changedF(spec, namedPF{name, mk}, machineChange{LLCBytes: llcBytes})
 }
 
 // runMixF returns the Future of one multi-programmed mix cell. Mix
@@ -438,9 +439,23 @@ func (r *Runner) runMixF(mix workload.MixSpec, cfg namedPF) *Future[sim.Result] 
 	for c, spec := range mix.Specs {
 		comp[c] = spec.Name
 	}
-	return r.cell(strings.Join(comp, "+")+"/"+cfg.name, false, func(hooks *telemetry.Hooks) sim.Result {
+	return r.coresF(strings.Join(comp, "+")+"/"+cfg.name, mix.Specs, 7919, cfg)
+}
+
+// runRateF returns the Future of one N-copy server cell.
+func (r *Runner) runRateF(spec workload.Spec, cores int, cfg namedPF) *Future[sim.Result] {
+	specs := make([]workload.Spec, cores)
+	for c := range specs {
+		specs[c] = spec
+	}
+	return r.coresF(fmt.Sprintf("%s/x%d/%s", spec.Name, cores, cfg.name), specs, 104729, cfg)
+}
+
+// coresF returns the Future of the N-core cell key names (runCores).
+func (r *Runner) coresF(key string, specs []workload.Spec, stride uint64, cfg namedPF) *Future[sim.Result] {
+	return r.cell(key, func(hooks *telemetry.Hooks) sim.Result {
 		defer collectMachine()
-		return runMix(r.P, r.graphs, mix, cfg.f, hooks)
+		return runCores(r.P, r.graphs, specs, stride, cfg.f, hooks)
 	})
 }
 
@@ -454,14 +469,6 @@ func (r *Runner) runMixF(mix workload.MixSpec, cfg namedPF) *Future[sim.Result] 
 // workload.GraphCacheBytes of them. Single-core machines are small
 // enough to leave to the pacer.
 func collectMachine() { runtime.GC() }
-
-// runRateF returns the Future of one N-copy server cell.
-func (r *Runner) runRateF(spec workload.Spec, cores int, cfg namedPF) *Future[sim.Result] {
-	return r.cell(fmt.Sprintf("%s/x%d/%s", spec.Name, cores, cfg.name), false, func(hooks *telemetry.Hooks) sim.Result {
-		defer collectMachine()
-		return runRate(r.P, r.graphs, spec, cores, cfg.f, hooks)
-	})
-}
 
 // RunAll executes the given experiments, each on its own coordinator
 // goroutine so their simulations interleave on the pool, and returns

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/config"
@@ -39,8 +40,8 @@ type Params struct {
 	// Seed drives mix construction and generator schedules.
 	Seed uint64
 	// SampleEvery, when non-zero, attaches a telemetry sampler at this
-	// retired-instruction interval to every run; cached single-core
-	// runs keep their JSONL series retrievable via Runner.SampleSeries.
+	// retired-instruction interval to every run; memoized cells keep
+	// their JSONL series retrievable via Runner.SampleSeries.
 	SampleEvery uint64
 	// Deadline, when non-zero, bounds each run's wall-clock time; a run
 	// that exceeds it is aborted cooperatively and its cell fails with
@@ -132,40 +133,74 @@ func pfHybrid(a, b pfFactory) pfFactory {
 	}
 }
 
-// runSingle simulates one benchmark on a single-core Table 1 machine,
-// optionally mutated (ad hoc cells: capacity-loss-free stores, LLC
-// policy and latency variants). The reader and prefetcher are built
-// after mutate, once, for the machine it leaves; chase graphs come from
-// g (nil shuffles them privately).
-func runSingle(p Params, g *workload.Graphs, spec workload.Spec, factory pfFactory, mutate func(*sim.Options), tel *telemetry.Hooks) sim.Result {
-	opts := sim.Options{
-		Machine:             config.Default(1),
+// machineChange is a single-core cell's departure from Table 1's
+// machine, held as data so that it names the cell. The zero value is
+// Table 1's machine.
+type machineChange struct {
+	LLCBytes     int    // LLC capacity per core; 0 keeps Table 1's
+	ExtraLatency int    // cycles added to every LLC access, data and metadata (§4.6)
+	LLCPolicy    string // LLC data replacement policy; "" keeps the simulator's
+	FreeStore    bool   // Triage's metadata store takes no LLC capacity (Figs. 7, 9)
+}
+
+// cellKey is the key of bench under configuration cfg on the changed
+// machine: "bench/config" on Table 1's (an LLC of Table 1's size is no
+// change), with one segment per changed field between the two on any
+// other.
+func (ch machineChange) cellKey(bench, cfg string) string {
+	parts := []string{bench}
+	if ch.LLCBytes != 0 && ch.LLCBytes != config.Default(1).LLCBytesPerCore {
+		parts = append(parts, fmt.Sprintf("llc%dKB", ch.LLCBytes>>10))
+	}
+	if ch.ExtraLatency != 0 {
+		parts = append(parts, fmt.Sprintf("lat+%d", ch.ExtraLatency))
+	}
+	if ch.LLCPolicy != "" {
+		parts = append(parts, "llcpol-"+ch.LLCPolicy)
+	}
+	if ch.FreeStore {
+		parts = append(parts, "freestore")
+	}
+	return strings.Join(append(parts, cfg), "/")
+}
+
+// runSingle simulates one benchmark on a single-core Table 1 machine
+// changed by ch. The reader and prefetcher are built once, for the
+// changed machine; chase graphs come from g (nil shuffles them
+// privately).
+func runSingle(p Params, g *workload.Graphs, spec workload.Spec, factory pfFactory, ch machineChange, tel *telemetry.Hooks) sim.Result {
+	m := config.Default(1)
+	if ch.LLCBytes != 0 {
+		m.LLCBytesPerCore = ch.LLCBytes
+	}
+	m.LLCExtraLatency = ch.ExtraLatency
+	machine, err := sim.New(sim.Options{
+		Machine:             m,
+		Workloads:           []trace.Reader{spec.NewFrom(g, p.Seed, 0)},
+		Prefetchers:         []prefetch.Prefetcher{factory(m)},
+		LLCPolicy:           ch.LLCPolicy,
+		NoCapacityLoss:      ch.FreeStore,
 		WarmupInstructions:  p.Warmup,
 		MeasureInstructions: p.Measure,
 		Telemetry:           tel,
 		CheckEvery:          p.CheckEvery,
-	}
-	if mutate != nil {
-		mutate(&opts)
-	}
-	opts.Workloads = []trace.Reader{spec.NewFrom(g, p.Seed, 0)}
-	opts.Prefetchers = []prefetch.Prefetcher{factory(opts.Machine)}
-	machine, err := sim.New(opts)
+	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %s: %v", spec.Name, err))
 	}
 	return machine.Run()
 }
 
-// runMix simulates a multi-programmed mix on an N-core machine, one
-// benchmark and one prefetcher instance per core.
-func runMix(p Params, g *workload.Graphs, mix workload.MixSpec, factory pfFactory, tel *telemetry.Hooks) sim.Result {
-	cores := len(mix.Specs)
-	m := config.Default(cores)
-	ws := make([]trace.Reader, cores)
-	pfs := make([]prefetch.Prefetcher, cores)
-	for c, spec := range mix.Specs {
-		ws[c] = spec.NewFrom(g, p.Seed+uint64(c)*7919, mem.Addr(c+1)<<40)
+// runCores simulates specs[c] on core c of an N-core Table 1 machine,
+// one prefetcher instance per core. Core c's generator is seeded
+// p.Seed + c*stride (multi-programmed mixes step by 7919, rate mode's N
+// copies by 104729) and its addresses start at (c+1)<<40.
+func runCores(p Params, g *workload.Graphs, specs []workload.Spec, stride uint64, factory pfFactory, tel *telemetry.Hooks) sim.Result {
+	m := config.Default(len(specs))
+	ws := make([]trace.Reader, len(specs))
+	pfs := make([]prefetch.Prefetcher, len(specs))
+	for c, spec := range specs {
+		ws[c] = spec.NewFrom(g, p.Seed+uint64(c)*stride, mem.Addr(c+1)<<40)
 		pfs[c] = factory(m)
 	}
 	machine, err := sim.New(sim.Options{
@@ -178,32 +213,7 @@ func runMix(p Params, g *workload.Graphs, mix workload.MixSpec, factory pfFactor
 		CheckEvery:          p.CheckEvery,
 	})
 	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: %v", mix.Name, err))
-	}
-	return machine.Run()
-}
-
-// runRate simulates N copies of one benchmark on an N-core machine
-// (the CloudSuite server setup).
-func runRate(p Params, g *workload.Graphs, spec workload.Spec, cores int, factory pfFactory, tel *telemetry.Hooks) sim.Result {
-	m := config.Default(cores)
-	ws := make([]trace.Reader, cores)
-	pfs := make([]prefetch.Prefetcher, cores)
-	for c := 0; c < cores; c++ {
-		ws[c] = spec.NewFrom(g, p.Seed+uint64(c)*104729, mem.Addr(c+1)<<40)
-		pfs[c] = factory(m)
-	}
-	machine, err := sim.New(sim.Options{
-		Machine:             m,
-		Workloads:           ws,
-		Prefetchers:         pfs,
-		WarmupInstructions:  p.MultiWarmup,
-		MeasureInstructions: p.MultiMeasure,
-		Telemetry:           tel,
-		CheckEvery:          p.CheckEvery,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s x%d: %v", spec.Name, cores, err))
+		panic(fmt.Sprintf("experiments: %d cores: %v", len(specs), err))
 	}
 	return machine.Run()
 }

@@ -234,9 +234,6 @@ func NewLRU[V any](capacity int) *LRU[V] {
 // Len returns the number of resident entries.
 func (l *LRU[V]) Len() int { return l.n }
 
-// Cap returns the table's fixed capacity.
-func (l *LRU[V]) Cap() int { return len(l.keys) }
-
 func (l *LRU[V]) home(k uint64) int {
 	return int((k * fibMul) >> l.shift)
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // The histogram is log-linear (HDR-style): values below histSub land
@@ -61,15 +60,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.buckets[bucketOf(v)].Add(1)
 	h.sum.Add(v)
 	h.count.Add(1)
-}
-
-// ObserveDuration records a duration in nanoseconds (negative
-// durations clamp to zero).
-func (h *Histogram) ObserveDuration(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.Observe(uint64(d.Nanoseconds()))
 }
 
 // Count returns the number of observations.

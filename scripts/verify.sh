@@ -60,18 +60,33 @@ go run ./cmd/experiments -fig fig05 -warmup 200000 -measure 200000 -j 2 >"$smoke
 
 # Kill-and-resume smoke: an interrupted checkpointed run restarted with
 # -resume must reproduce the uninterrupted run's output byte for byte.
+# The figures cover every cell kind: Table 1 single-core cells (fig05),
+# changed-machine cells (fig07) and multi-core mixes (fig16). A further
+# run over the complete store must simulate nothing.
 go build -o "$smokedir/experiments" ./cmd/experiments
-"$smokedir/experiments" -fig fig05 -warmup 200000 -measure 200000 -j 2 \
-    -csv "$smokedir/clean" >/dev/null
-"$smokedir/experiments" -fig fig05 -warmup 200000 -measure 200000 -j 2 \
-    -resume "$smokedir/ckpt" >/dev/null &
+resume_args="-fig fig05,fig07,fig16 -warmup 200000 -measure 200000 -mwarmup 100000 -mmeasure 100000 -mixes 1 -j 2"
+"$smokedir/experiments" $resume_args -csv "$smokedir/clean" >/dev/null
+"$smokedir/experiments" $resume_args -resume "$smokedir/ckpt" >/dev/null &
 resume_pid=$!
-sleep 2
+sleep 1 # the run takes about 2.5 s on 2 cores, so the kill lands mid-run
 kill -9 "$resume_pid" 2>/dev/null || true # may already have finished
 wait "$resume_pid" || true
-"$smokedir/experiments" -fig fig05 -warmup 200000 -measure 200000 -j 2 \
-    -resume "$smokedir/ckpt" -csv "$smokedir/resumed" >/dev/null
-cmp "$smokedir/clean/fig05.csv" "$smokedir/resumed/fig05.csv"
+"$smokedir/experiments" $resume_args -resume "$smokedir/ckpt" -csv "$smokedir/resumed" >/dev/null
+for fig in fig05 fig07 fig16; do
+    cmp "$smokedir/clean/$fig.csv" "$smokedir/resumed/$fig.csv"
+done
+"$smokedir/experiments" $resume_args -resume "$smokedir/ckpt" >/dev/null 2>"$smokedir/resume-again.log"
+grep -q '^checkpoint: [0-9]* cells restored, 0 simulated$' "$smokedir/resume-again.log"
+
+# Sweep resume smoke: a sweep rerun over its finished store simulates
+# nothing and prints the same CSV.
+go build -o "$smokedir/sweep" ./cmd/sweep
+sweep_args="-bench mcf -sizes 128,512 -degrees 1,2 -llc 1,2 -warmup 100000 -measure 100000 -j 2"
+"$smokedir/sweep" $sweep_args -resume "$smokedir/sweep-ckpt" >"$smokedir/sweep1.csv"
+"$smokedir/sweep" $sweep_args -resume "$smokedir/sweep-ckpt" >"$smokedir/sweep2.csv" \
+    2>"$smokedir/sweep2.log"
+grep -q '^checkpoint: [0-9]* cells restored, 0 simulated$' "$smokedir/sweep2.log"
+cmp "$smokedir/sweep1.csv" "$smokedir/sweep2.csv"
 
 # Golden smoke: the four figures perfbench measures, run with its
 # seed-1 arguments (perfbench/figures.go; -j does not change a figure),
