@@ -52,6 +52,36 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// parseSizes parses the -sizes list: each store size in KB must be a
+// positive multiple of one store way (8 KB), the only sizes Triage's
+// 2048-set, 4-byte-entry store can take.
+func parseSizes(s string) ([]int, error) {
+	sizes, err := parseInts(s)
+	if err != nil {
+		return nil, err
+	}
+	for _, kb := range sizes {
+		if kb <= 0 || kb<<10%core.StoreWayBytes != 0 {
+			return nil, fmt.Errorf("store size %d KB is not a positive multiple of %d KB", kb, core.StoreWayBytes>>10)
+		}
+	}
+	return sizes, nil
+}
+
+// parseRepls parses the -repl list of metadata replacement policies.
+func parseRepls(s string) ([]string, error) {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		switch r := strings.TrimSpace(part); r {
+		case "lru", "hawkeye":
+			out = append(out, r)
+		default:
+			return nil, fmt.Errorf("unknown replacement policy %q (want lru or hawkeye)", r)
+		}
+	}
+	return out, nil
+}
+
 func main() {
 	var (
 		bench   = flag.String("bench", "mcf", "benchmark name")
@@ -85,7 +115,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *bench)
 		os.Exit(2)
 	}
-	sizeList, err := parseInts(*sizes)
+	sizeList, err := parseSizes(*sizes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -101,9 +131,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	replList := strings.Split(*repls, ",")
-	for i := range replList {
-		replList[i] = strings.TrimSpace(replList[i])
+	replList, err := parseRepls(*repls)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	// The window and seed are Params, so they stamp the checkpoint; the

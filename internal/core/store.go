@@ -46,7 +46,10 @@ const storeMaxRRPV = 7
 // array; the rest of the entry is one 4-byte successor word. Only the
 // configured policy's replacement state exists: Hawkeye keeps an RRPV
 // and the predictor-counter index of the PC that last touched the
-// entry (11 host bytes per entry), LRU a timestamp (14 bytes).
+// entry (11 host bytes per entry), LRU a timestamp (14 bytes). A store
+// starts with no ways and no arrays; the first resize above 0 ways
+// allocates them for maxAssoc, so a store the partitioner never
+// provisions costs no host memory (nor any in a warm snapshot).
 type store struct {
 	trig []uint16 // compressed trigger tag; invalidTrig when empty
 	succ []uint32 // set_id | successor tag<<setBits | confBit
@@ -66,12 +69,10 @@ type store struct {
 	replacements uint64
 }
 
+// newStore returns an unprovisioned store of up to maxAssoc entries
+// per set; resize provisions it.
 func newStore(maxAssoc int, useHawkeye bool, pred *replacement.Predictor) *store {
-	n := metadataSets * maxAssoc
 	s := &store{
-		trig:       make([]uint16, n),
-		succ:       make([]uint32, n),
-		assoc:      maxAssoc,
 		maxAssoc:   maxAssoc,
 		useHawkeye: useHawkeye,
 		pred:       pred,
@@ -79,7 +80,18 @@ func newStore(maxAssoc int, useHawkeye bool, pred *replacement.Predictor) *store
 		nextComp:   mem.NewTagCompressor(tagBits),
 	}
 	mustFitPacking(s.trigComp, s.nextComp)
-	if useHawkeye {
+	return s
+}
+
+// alloc sizes the entry and replacement arrays for maxAssoc ways, every
+// way empty. Until the first provisioning no operation reads or writes
+// them (lookup and insert stop at 0 ways), so allocating late leaves
+// every result as an eagerly allocated store would give.
+func (s *store) alloc() {
+	n := metadataSets * s.maxAssoc
+	s.trig = make([]uint16, n)
+	s.succ = make([]uint32, n)
+	if s.useHawkeye {
 		s.rrpv = make([]uint8, n)
 		s.pcIdx = make([]uint32, n)
 	} else {
@@ -88,7 +100,6 @@ func newStore(maxAssoc int, useHawkeye bool, pred *replacement.Predictor) *store
 	for i := range s.trig {
 		s.trig[i] = invalidTrig
 	}
-	return s
 }
 
 // mustFitPacking panics unless the compressors' ids fit the entry
@@ -105,13 +116,17 @@ func storeTagOf(l mem.Line) uint64 { return uint64(l) >> setBits }
 
 // resize changes the per-set associativity; shrinking invalidates
 // entries in the removed ways (the paper marks them invalid
-// immediately).
+// immediately). The first resize above 0 ways allocates the arrays,
+// which then stay for the store's life.
 func (s *store) resize(assoc int) {
 	if assoc > s.maxAssoc {
 		assoc = s.maxAssoc
 	}
 	if assoc < 0 {
 		assoc = 0
+	}
+	if assoc > 0 && s.trig == nil {
+		s.alloc()
 	}
 	if assoc < s.assoc {
 		for i := 0; i < metadataSets; i++ {
@@ -271,6 +286,9 @@ func (s *store) victim(setIdx int) int {
 
 // occupancy counts valid entries (tests).
 func (s *store) occupancy() int {
+	if s.assoc == 0 {
+		return 0 // an unprovisioned store may have no arrays to scan
+	}
 	n := 0
 	for i := 0; i < metadataSets; i++ {
 		base := i * s.maxAssoc

@@ -11,8 +11,11 @@ import (
 	"repro/internal/replacement"
 )
 
+// newTestStore returns a store provisioned to all assoc ways.
 func newTestStore(assoc int, hawkeye bool) *store {
-	return newStore(assoc, hawkeye, replacement.NewPredictor(10))
+	s := newStore(assoc, hawkeye, replacement.NewPredictor(10))
+	s.resize(assoc)
+	return s
 }
 
 func TestStoreInsertLookupRoundTrip(t *testing.T) {
@@ -105,6 +108,7 @@ func TestStoreResizeClamps(t *testing.T) {
 func TestStoreHawkeyeProtectsFriendlyEntries(t *testing.T) {
 	pred := replacement.NewPredictor(10)
 	s := newStore(2, true, pred)
+	s.resize(2)
 	friendly, averse := uint64(0xF0), uint64(0xA0)
 	for i := 0; i < 8; i++ {
 		pred.TrainPositive(friendly)
@@ -181,7 +185,11 @@ func TestStoreCompressedTagRecycling(t *testing.T) {
 // re-trained, aged and replaced; the rest span far more tags than the
 // compressors' 1,024 ids, so ids recycle and old entries resolve to
 // the recycled ids' new tags. The 16-way runs let Hawkeye age entries
-// to its limit.
+// to its limit. Both stores start at 0 ways, as a Dynamic or Ladder
+// store does: the first eighth of each sequence runs unprovisioned
+// (lookups miss, inserts are dropped, and the packed store holds no
+// arrays), then both are provisioned, shrunk to 0 ways halfway through
+// and provisioned again, with random resizes in between.
 func TestStoreMatchesReference(t *testing.T) {
 	for _, hawkeye := range []bool{true, false} {
 		for _, tc := range []struct {
@@ -193,6 +201,8 @@ func TestStoreMatchesReference(t *testing.T) {
 			const pcs = 12
 			s := newStore(tc.maxAssoc, hawkeye, replacement.NewPredictor(6))
 			ref := newRefStore(tc.maxAssoc, hawkeye, replacement.NewPredictor(6))
+			ref.resize(0) // the reference allocates eagerly but starts at 0 ways too
+			provisionAt, offAt, reprovisionAt := tc.ops/8, tc.ops/2, tc.ops/2+tc.ops/16
 			line := func() mem.Line {
 				if rng.Intn(2) == 0 {
 					return mem.Line(uint64(rng.Intn(2*tc.maxAssoc))<<setBits | uint64(rng.Intn(4)))
@@ -212,6 +222,18 @@ func TestStoreMatchesReference(t *testing.T) {
 				return l + mem.Line(1+rng.Intn(2))<<setBits
 			}
 			for op := 0; op < tc.ops; op++ {
+				switch op {
+				case provisionAt, reprovisionAt:
+					s.resize(tc.maxAssoc)
+					ref.resize(tc.maxAssoc)
+				case offAt:
+					s.resize(0)
+					ref.resize(0)
+				}
+				off := op < provisionAt || op >= offAt && op < reprovisionAt
+				if op < provisionAt && (s.trig != nil || s.succ != nil || s.rrpv != nil || s.pcIdx != nil || s.stamp != nil) {
+					t.Fatalf("%s op %d: the store allocated arrays before it was provisioned", name, op)
+				}
 				pc := uint64(rng.Intn(pcs)) * 0x40
 				var what string
 				switch r := rng.Intn(100); {
@@ -251,6 +273,9 @@ func TestStoreMatchesReference(t *testing.T) {
 				default:
 					what = "resize"
 					assoc := rng.Intn(tc.maxAssoc + 1)
+					if off {
+						assoc = 0 // the unprovisioned windows stay at 0 ways
+					}
 					s.resize(assoc)
 					ref.resize(assoc)
 				}
@@ -283,13 +308,9 @@ func TestStoreMatchesReference(t *testing.T) {
 // 2-byte trigger tag and 4-byte successor word, plus a 1-byte RRPV and
 // a 4-byte predictor index under Hawkeye or an 8-byte stamp under LRU.
 // It sums every slice the store holds, so a new per-entry field shows.
+// A store holds none of it until it is first provisioned.
 func TestStoreHostBytesPerEntry(t *testing.T) {
-	for _, tc := range []struct {
-		hawkeye bool
-		want    uintptr
-	}{{true, 11}, {false, 14}} {
-		const maxAssoc = 4
-		s := newStore(maxAssoc, tc.hawkeye, replacement.NewPredictor(10))
+	sliceBytes := func(s *store) uintptr {
 		v := reflect.ValueOf(s).Elem()
 		var total uintptr
 		for i := 0; i < v.NumField(); i++ {
@@ -297,6 +318,20 @@ func TestStoreHostBytesPerEntry(t *testing.T) {
 				total += uintptr(f.Len()) * f.Type().Elem().Size()
 			}
 		}
+		return total
+	}
+	for _, tc := range []struct {
+		hawkeye bool
+		want    uintptr
+	}{{true, 11}, {false, 14}} {
+		const maxAssoc = 4
+		s := newStore(maxAssoc, tc.hawkeye, replacement.NewPredictor(10))
+		s.resize(0)
+		if got := sliceBytes(s); got != 0 {
+			t.Errorf("hawkeye=%v: an unprovisioned store holds %d host bytes, want 0", tc.hawkeye, got)
+		}
+		s.resize(1)
+		total := sliceBytes(s)
 		if got := total / (metadataSets * maxAssoc); got != tc.want || total%(metadataSets*maxAssoc) != 0 {
 			t.Errorf("hawkeye=%v: %d host bytes for %d entries (%d per entry), want %d per entry",
 				tc.hawkeye, total, metadataSets*maxAssoc, got, tc.want)

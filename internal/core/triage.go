@@ -109,10 +109,14 @@ func (c *Config) applyDefaults() {
 	}
 }
 
+// StoreWayBytes is the capacity of one metadata-store way across all
+// sets; a Static store's size must be a multiple of it.
+const StoreWayBytes = metadataSets * bytesPerEntry
+
 func (c *Config) validate() error {
-	if c.StaticBytes%(metadataSets*bytesPerEntry) != 0 {
+	if c.StaticBytes%StoreWayBytes != 0 {
 		return fmt.Errorf("triage: StaticBytes = %d is not a multiple of %d (sets x entry size)",
-			c.StaticBytes, metadataSets*bytesPerEntry)
+			c.StaticBytes, StoreWayBytes)
 	}
 	return nil
 }
@@ -190,10 +194,12 @@ func New(cfg Config) *Triage {
 	case Static:
 		assoc := cfg.StaticBytes / bytesPerEntry / metadataSets
 		t.store = newStore(assoc, cfg.Replacement == Hawkeye, t.pred)
+		t.store.resize(assoc)
 	case Dynamic, DynamicUtility:
+		// The store starts with no partition until proven useful; its
+		// arrays are allocated when the sizer first provisions it.
 		assoc := largeBytes / bytesPerEntry / metadataSets
 		t.store = newStore(assoc, cfg.Replacement == Hawkeye, t.pred)
-		t.store.resize(0) // start with no partition until proven useful
 		t.sizer = newSizer(cfg.EpochAccesses)
 		if cfg.Mode == DynamicUtility {
 			// Way costs on the per-core 2MB/16-way LLC view.
@@ -205,7 +211,6 @@ func New(cfg Config) *Triage {
 	case DynamicLadder:
 		assoc := ladderRungs[len(ladderRungs)-1] / bytesPerEntry / metadataSets
 		t.store = newStore(assoc, cfg.Replacement == Hawkeye, t.pred)
-		t.store.resize(0)
 		t.ladder = newTimeShareSizer(ladderRungs, cfg.EpochAccesses)
 	}
 	if cfg.Replacement == Hawkeye && (cfg.Mode == Static || cfg.Mode == DynamicLadder) {

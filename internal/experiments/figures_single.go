@@ -363,6 +363,9 @@ func (r *Runner) Fig09() *Table {
 						Replacement: pol, LLCLatencyTicks: llcTicks(m),
 					})
 				}}
+				if size == 1<<20 && pol == core.Hawkeye {
+					cfg = cfgT1M // fig07's free-store column: one cell, one key
+				}
 				cellFs[zi][si][pi] = r.changedF(spec, cfg, machineChange{FreeStore: true})
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // tableCSV runs experiment id on r and returns its CSV.
@@ -126,5 +128,33 @@ func TestMemoDropsFailedCell(t *testing.T) {
 	}
 	if res.IPC() <= 0 || r.Runs() != 1 {
 		t.Errorf("later runner: IPC %.3f, Runs() = %d; want a fresh simulation", res.IPC(), r.Runs())
+	}
+}
+
+// TestMemoFig07Fig09ShareCells: fig07 and fig09 build the same cells
+// in two places. Both take the no-prefetch baseline of the irregular
+// suite, and fig07's free-store Triage_1MB column is fig09's 1 MB
+// Hawkeye column (Static, 1 MiB, Hawkeye, no capacity loss). Each pair
+// must be one key, so fig07 and fig09 on one Runner simulate two
+// cells per benchmark fewer than on two Runners, with the same tables.
+func TestMemoFig07Fig09ShareCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test")
+	}
+	ids := []string{"fig07", "fig09"}
+	apart, runs := map[string][]byte{}, uint64(0)
+	for _, id := range ids {
+		r := NewRunnerPool(tinyParams(), NewPool(2))
+		apart[id] = tableCSV(t, r, id)
+		runs += r.Runs()
+	}
+	together := NewRunnerPool(tinyParams(), NewPool(2))
+	for _, id := range ids {
+		if got := tableCSV(t, together, id); !bytes.Equal(got, apart[id]) {
+			t.Errorf("%s differs when run after the other figure:\n--- alone ---\n%s\n--- together ---\n%s", id, apart[id], got)
+		}
+	}
+	if got, want := together.Runs(), runs-2*uint64(len(workload.IrregularSuite())); got != want {
+		t.Errorf("fig07 and fig09 together simulated %d cells, apart %d; want %d", got, runs, want)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -14,14 +15,17 @@ import (
 // and warmup; a longer measurement window) must restore the earlier
 // spec's post-warmup state, and its encoded result and sampled series
 // must be byte-identical to a run that simulated the warmup cold — on
-// a single-core and a 4-core machine.
+// a single-core and a 4-core machine. In the third case the snapshot
+// holds a Triage-Dynamic store the sizer has not provisioned yet (so
+// it has no arrays), and the restored run provisions it during the
+// measurement window.
 func TestWarmReuseByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
 	}
 	wc := sim.GlobalWarmCache()
 	t.Cleanup(wc.Reset)
-	run := func(s RunSpec) ([]byte, []byte) {
+	run := func(s RunSpec) ([]byte, []byte, sim.Result) {
 		t.Helper()
 		hooks := &telemetry.Hooks{Sampler: telemetry.NewSampler(10_000)}
 		res, err := s.Run(hooks)
@@ -32,34 +36,82 @@ func TestWarmReuseByteIdentical(t *testing.T) {
 		if err := hooks.Sampler.WriteJSONL(&series); err != nil {
 			t.Fatal(err)
 		}
-		return EncodeResult(res), series.Bytes()
+		return EncodeResult(res), series.Bytes(), res
 	}
-	for _, cores := range []int{1, 4} {
-		parent := RunSpec{Bench: "mcf", PF: "triage-dyn", Cores: cores, Warmup: 60_000, Measure: 40_000, Seed: 7}
+	for _, tc := range []struct {
+		cores                   int
+		warmup, measure, longer uint64
+		provisions              bool // the store is first provisioned after the restore
+	}{
+		{1, 60_000, 40_000, 70_000, false},
+		{4, 60_000, 40_000, 70_000, false},
+		{1, 150_000, 40_000, 200_000, true},
+	} {
+		parent := RunSpec{Bench: "mcf", PF: "triage-dyn", Cores: tc.cores, Warmup: tc.warmup, Measure: tc.measure, Seed: 7}
 		child := parent
-		child.Measure = 70_000
+		child.Measure = tc.longer
+		name := fmt.Sprintf("%d cores, %d warmup", tc.cores, tc.warmup)
 
 		wc.Reset()
-		run(parent)
+		_, _, pres := run(parent)
 		if hits, _, stores := wc.Stats(); hits != 0 || stores != 1 {
-			t.Fatalf("%d cores: cold parent restored %d and stored %d snapshots, want 0 and 1", cores, hits, stores)
+			t.Fatalf("%s: cold parent restored %d and stored %d snapshots, want 0 and 1", name, hits, stores)
 		}
-		warm, warmSeries := run(child)
+		warm, warmSeries, wres := run(child)
 		if hits, _, _ := wc.Stats(); hits != 1 {
-			t.Fatalf("%d cores: child restored %d snapshots, want 1", cores, hits)
+			t.Fatalf("%s: child restored %d snapshots, want 1", name, hits)
+		}
+		if tc.provisions {
+			if ways := pres.Cores[0].AvgMetadataWays; ways != 0 {
+				t.Fatalf("%s: the store held %.3f ways right after warmup, want an unprovisioned snapshot", name, ways)
+			}
+			if ways := wres.Cores[0].AvgMetadataWays; ways == 0 {
+				t.Fatalf("%s: the restored run never provisioned the store", name)
+			}
 		}
 
 		wc.Reset()
-		cold, coldSeries := run(child)
+		cold, coldSeries, _ := run(child)
 		if hits, _, _ := wc.Stats(); hits != 0 {
-			t.Fatalf("%d cores: cold child restored %d snapshots from an empty cache", cores, hits)
+			t.Fatalf("%s: cold child restored %d snapshots from an empty cache", name, hits)
 		}
 		if !bytes.Equal(cold, warm) {
-			t.Errorf("%d cores: warm-restored result differs from cold warmup:\n--- cold ---\n%s\n--- warm ---\n%s", cores, cold, warm)
+			t.Errorf("%s: warm-restored result differs from cold warmup:\n--- cold ---\n%s\n--- warm ---\n%s", name, cold, warm)
 		}
 		if len(coldSeries) == 0 || !bytes.Equal(coldSeries, warmSeries) {
-			t.Errorf("%d cores: sampled series differ between cold and warm runs:\n--- cold ---\n%s\n--- warm ---\n%s", cores, coldSeries, warmSeries)
+			t.Errorf("%s: sampled series differ between cold and warm runs:\n--- cold ---\n%s\n--- warm ---\n%s", name, coldSeries, warmSeries)
 		}
+	}
+}
+
+// TestUnprovisionedSnapshotCostsLittle pins that a Triage-Dynamic
+// store the sizer has not provisioned holds no host arrays: its
+// single-core warm snapshot is within 0.5 MiB of the no-prefetcher
+// snapshot of the same warm prefix.
+func TestUnprovisionedSnapshotCostsLittle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation smoke test")
+	}
+	wc := sim.GlobalWarmCache()
+	t.Cleanup(wc.Reset)
+	held := map[string]int64{}
+	for _, pf := range []string{"none", "triage-dyn"} {
+		wc.Reset()
+		res, err := RunSpec{Bench: "mcf", PF: pf, Warmup: 150_000, Measure: 40_000, Seed: 7}.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ways := res.Cores[0].AvgMetadataWays; ways != 0 {
+			t.Fatalf("%s: the store held %.3f ways right after warmup, want none", pf, ways)
+		}
+		if _, _, stores := wc.Stats(); stores != 1 {
+			t.Fatalf("%s: stored %d snapshots, want 1", pf, stores)
+		}
+		held[pf] = wc.HeldBytes()
+	}
+	if extra := held["triage-dyn"] - held["none"]; extra > 512<<10 {
+		t.Errorf("unprovisioned Triage-Dynamic snapshot is %d bytes (%.2f MiB) over the no-prefetcher one, want at most 0.5 MiB",
+			extra, float64(extra)/(1<<20))
 	}
 }
 

@@ -88,17 +88,14 @@ func WithCacheBytes(b int) Option {
 
 // New returns a MISB prefetcher.
 func New(opts ...Option) *Prefetcher {
-	// PS/SP grow to one entry per correlated line — hundreds of
-	// thousands over a few million trained instructions. Pre-sizing
-	// them skips the long ladder of doubling rehashes on the way up
-	// (measurably hot in multi-core figures). A hint of 1<<16 entries
-	// gives each map 131,072 slots of 16 B: 2 MiB of host memory per
-	// map, 4 MiB per MISB core.
+	// PS, SP and the training unit start empty and grow with the
+	// correlations a run trains, so a machine (and its warm snapshot)
+	// holds only the metadata its instructions produced.
 	p := &Prefetcher{
 		env:      prefetch.NopEnv{},
-		ps:       flat.NewMap(1 << 16),
-		sp:       flat.NewMap(1 << 16),
-		lastAddr: flat.NewMap(1 << 12),
+		ps:       flat.NewMap(0),
+		sp:       flat.NewMap(0),
+		lastAddr: flat.NewMap(0),
 		cache:    newBlockCache(48 << 10 / mem.LineSize),
 		degree:   1,
 	}

@@ -1,6 +1,7 @@
 package misb
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mem"
@@ -175,3 +176,22 @@ var (
 	_ prefetch.DegreeSetter = (*Prefetcher)(nil)
 	_ prefetch.EnvUser      = (*Prefetcher)(nil)
 )
+
+// TestNewAllocatesLittle pins that a fresh prefetcher holds only its
+// 48 KB metadata cache's bookkeeping: PS, SP and the training unit
+// start empty and grow with what a run trains, so a machine that has
+// trained little (and its warm snapshot) carries little.
+func TestNewAllocatesLittle(t *testing.T) {
+	const calls = 8
+	ps := make([]*Prefetcher, calls)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range ps {
+		ps[i] = New()
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ps)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 64<<10 {
+		t.Errorf("New allocated %d bytes per call, want under 64 KiB", per)
+	}
+}

@@ -57,12 +57,12 @@ type WarmCache struct {
 
 // DefaultWarmCacheBytes bounds the default process-wide cache. It is
 // sized from measured reuse, not from what fits: replaying the service
-// benchmark's job sequence, no restore needed an LRU stack distance
-// above 106 MiB, so this is the smallest power of two above that. A
-// larger budget keeps only snapshots that nothing restores, and their
-// bytes set the service's peak RSS (see EXPERIMENTS.md, "Warm-state
-// snapshot reuse").
-const DefaultWarmCacheBytes = 128 << 20
+// benchmark's job sequence at seeds 1, 2, 7 and 501, no restore needed
+// an LRU stack distance above 50.6 MiB, so this is the smallest power
+// of two above that. A larger budget keeps only snapshots that nothing
+// restores, and their bytes set the service's peak RSS (see
+// EXPERIMENTS.md, "Warm-state snapshot reuse").
+const DefaultWarmCacheBytes = 64 << 20
 
 var processWarmCache = NewWarmCache(DefaultWarmCacheBytes)
 
@@ -302,14 +302,14 @@ func newCopier() *copier {
 // errSnapshotTooLarge aborts an over-budget save mid-copy.
 var errSnapshotTooLarge = errors.New("sim: warm snapshot exceeds size cap")
 
-// maxSnapshotBytes caps one saved snapshot. It is set by the machines
-// it must admit, not as a fraction of the budget: the single-core
-// machines (1.6-5.8 MiB, MISB the largest), 4-core machines (Triage
-// 18.4 MiB, MISB 23.1 MiB) and 8-core Triage (36.7 MiB). It refuses
-// 16-core MISB (92.3 MiB) and 16-core Triage (73.4 MiB): either would
-// evict most of the cache, and its deep copy costs more than the cold
-// warmup it might save.
-const maxSnapshotBytes = 64 << 20
+// maxSnapshotBytes caps one saved snapshot at the default budget, so
+// a copy the cache would refuse stops early. It admits every snapshot
+// class measured: at the service's 150K single-core and 50K multi-core
+// warmups a single-core machine takes 1.3-4.2 MiB, a 4-core one
+// 5.3-7.3 MiB and a 16-core one 24.3 (Triage-Dynamic) or 29.2 MiB
+// (MISB). MISB's tables grow with the warmup: 9.3 MiB single-core
+// after 1M instructions.
+const maxSnapshotBytes = DefaultWarmCacheBytes
 
 // plainKind caches whether a type contains no Go pointers at any depth
 // (strings count as plain: they are immutable and safe to share), so

@@ -87,6 +87,13 @@ sweep_args="-bench mcf -sizes 128,512 -degrees 1,2 -llc 1,2 -warmup 100000 -meas
     2>"$smokedir/sweep2.log"
 grep -q '^checkpoint: [0-9]* cells restored, 0 simulated$' "$smokedir/sweep2.log"
 cmp "$smokedir/sweep1.csv" "$smokedir/sweep2.csv"
+# Bad input is refused before anything simulates: an unknown policy and
+# a store size that does not pack into 8 KB ways each exit 2.
+for bad in "-repl bogus" "-sizes 100"; do
+    status=0
+    "$smokedir/sweep" -bench mcf $bad -warmup 1000 -measure 1000 >/dev/null 2>&1 || status=$?
+    test "$status" -eq 2
+done
 
 # Golden smoke: the four figures perfbench measures, run with its
 # seed-1 arguments (perfbench/figures.go; -j does not change a figure),
@@ -163,7 +170,7 @@ grep -q 'result-served' "$smokedir/trace.txt"
 # Warm-restore smoke: a longer measurement window with the same warmup
 # and seed restores the first job's post-warmup snapshot in the live
 # process; its result must match a direct cold run byte for byte, and
-# the cache must hold no more than its 128 MiB budget.
+# the cache must hold no more than its 64 MiB budget.
 "$smokedir/triagesim" -bench mcf -pf triage-1m -warmup 100000 -measure 300000 \
     -json "$smokedir/direct-restore.json" >/dev/null
 "$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
@@ -172,7 +179,7 @@ cmp "$smokedir/direct-restore.json" "$smokedir/api-restore.json"
 "$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/metrics-restore.prom"
 grep -q '^triaged_warm_restores_total 1$' "$smokedir/metrics-restore.prom"
 awk '$1 == "triaged_warm_held_bytes" { held = $2 + 0; found = 1 }
-    END { exit !(found && held > 0 && held <= 134217728) }' "$smokedir/metrics-restore.prom"
+    END { exit !(found && held > 0 && held <= 67108864) }' "$smokedir/metrics-restore.prom"
 kill -TERM "$triaged_pid"
 wait "$triaged_pid" # graceful drain must exit 0
 # Restart on the same store: the resubmission must be served from the
