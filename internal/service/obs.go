@@ -109,9 +109,11 @@ func newServerObs(s *Server) *serverObs {
 	// (single jobs sharing a warm prefix restore from it) and the
 	// pool's figure-cell memo (figure jobs share finished cells).
 	wc := sim.GlobalWarmCache()
-	r.CounterFunc("triaged_warm_restores_total", "runs that restored a warm snapshot instead of simulating warmup (process-wide)",
+	r.CounterFunc("triaged_warm_restores_total", "runs that restored the warm snapshot of their prefix and stepped only the instructions their longer window adds (process-wide)",
 		func() float64 { n, _, _ := wc.Stats(); return float64(n) })
-	r.CounterFunc("triaged_warm_misses_total", "warm-snapshot lookups that did not restore: none held, or a key collision (process-wide)",
+	r.CounterFunc("triaged_warm_restored_instructions_total", "instructions warm restores skipped: the instructions the restored snapshots' runs had stepped (process-wide)",
+		func() float64 { return float64(wc.RestoredInstructions()) })
+	r.CounterFunc("triaged_warm_misses_total", "warm-snapshot lookups that did not restore: none held, a key collision, a snapshot window past the run's, a core already past the run's window, or another sampling interval (process-wide)",
 		func() float64 { _, n, _ := wc.Stats(); return float64(n) })
 	r.CounterFunc("triaged_warm_stores_total", "warm snapshots stored (process-wide)",
 		func() float64 { _, _, n := wc.Stats(); return float64(n) })

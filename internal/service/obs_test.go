@@ -312,10 +312,15 @@ func TestMetricsExportCaches(t *testing.T) {
 	if metric("warm_stores") <= stores || metric("warm_held_bytes") <= 0 {
 		t.Error("a single job with a warmup stored no warm snapshot")
 	}
+	restored := metric("warm_restored_instructions")
 	child := tinySpec(5)
 	child.Run.Warmup, child.Run.Measure = 20_000, 40_000
 	run(child)
 	if metric("warm_restores") <= restores {
 		t.Error("a single job sharing a warm prefix restored no snapshot")
+	}
+	// The child resumed where the parent's run stopped.
+	if got, want := metric("warm_restored_instructions")-restored, float64(parent.Run.Warmup+parent.Run.Measure); got != want {
+		t.Errorf("the restore skipped %v instructions, want the parent's %v", got, want)
 	}
 }

@@ -16,7 +16,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/dram"
 	"repro/internal/mem"
@@ -51,16 +50,20 @@ type Options struct {
 	// each piece at the cost of one predictable branch per instruction.
 	Telemetry *telemetry.Hooks
 	// WarmKey, when non-empty, enables warm-state snapshot reuse: the
-	// post-warmup machine state is cached process-wide under this key,
-	// and a later run with the same key restores it instead of
-	// re-simulating warmup. The key MUST identify the complete warm
-	// prefix — machine configuration, workload construction (generator,
-	// seed, address base), prefetcher configuration, and warmup window;
-	// two runs with equal keys must warm up to identical state. The
+	// machine state where the first run under this key stops (the end
+	// of its measurement window) is cached process-wide, and a later run
+	// with the same key and a window at least as long restores it and
+	// steps only the instructions its longer window adds. The key MUST
+	// name the whole run prefix, not only the warmup: machine
+	// configuration, workload construction (generator, seed, address
+	// base), prefetcher configuration and warmup window, which together
+	// fix the machine state at every instruction of the run whatever the
+	// measurement window (the snapshot records that window itself). Two
+	// runs with equal keys must step through identical states. The
 	// simulator independently verifies the machine-shape part of that
-	// contract (see warmSignature) and falls back to a cold warmup on
-	// any mismatch. Reuse is disabled automatically when an event trace
-	// is attached or CheckEvery is set (see warmEligible).
+	// contract (see warmSignature) and runs cold on any mismatch. Reuse
+	// is disabled automatically when an event trace is attached or
+	// CheckEvery is set (see warmEligible).
 	WarmKey string
 	// CheckEvery, when non-zero, asserts the structural invariants of
 	// every simulated component (caches, MSHR rings, DRAM tables, Triage
@@ -139,15 +142,9 @@ type Machine struct {
 	cores []*coreState
 	steps uint64 // total instructions stepped, all cores and phases
 
-	// Telemetry state (see telemetry.go). sampleCountdown is 0 while
-	// sampling is off, so the disabled hot-loop cost is one compare.
-	sampler         *telemetry.Sampler
-	sampleCountdown uint64
-	sampleIdx       int
-	prevCores       []corePrev
-	prevLLC         cache.Stats
-	prevDRAM        dram.Stats
-	prevTick        uint64
+	// Telemetry state (see telemetry.go).
+	sampler *telemetry.Sampler
+	samp    sampleState
 
 	progress        telemetry.ProgressSink
 	watch           *telemetry.RunWatch
@@ -268,8 +265,8 @@ func (m *Machine) Run() Result {
 	measure := m.opts.MeasureInstructions
 
 	// Warmup phase: early finishers simply stop (no stats involved). A
-	// cached warm-state snapshot (same WarmKey) replaces the whole
-	// phase; a cold warmup under a WarmKey leaves a snapshot behind.
+	// cached warm-state snapshot (same WarmKey) replaces the warmup and
+	// the part of the measurement window its run already stepped.
 	reuse := m.warmEligible()
 	if !(reuse && m.tryRestoreWarm()) {
 		if warm > 0 {
@@ -283,16 +280,18 @@ func (m *Machine) Run() Result {
 			cs.startTick = cs.lastRetire
 			cs.finished = false
 		}
-		if reuse {
-			m.saveWarm()
-		}
+		m.startSampling()
 	}
 
-	m.startSampling()
-
 	// Measurement phase: early finishers keep running to sustain
-	// contention, with their stats frozen at the finish line.
+	// contention, with their stats frozen at the finish line. Because
+	// contention is always sustained, the state at every instruction of
+	// this phase is the same whatever the target, which is what lets a
+	// later, longer run resume the snapshot taken here.
 	m.phase(measure, true)
+	if reuse {
+		m.saveWarm()
+	}
 
 	// Final flush deliberately skips the cancellation check: a cancel
 	// racing a run that just finished must not fail the finished run.
@@ -456,11 +455,11 @@ func (m *Machine) runBatch(c int, cs *coreState, target, budget uint64, tieOK bo
 				m.flushProgress()
 			}
 		}
-		if m.sampleCountdown > 0 {
-			m.sampleCountdown--
-			if m.sampleCountdown == 0 {
+		if m.samp.countdown > 0 {
+			m.samp.countdown--
+			if m.samp.countdown == 0 {
 				m.takeSample()
-				m.sampleCountdown = m.sampler.Every()
+				m.samp.countdown = m.sampler.Every()
 			}
 		}
 		if m.checkCountdown > 0 {

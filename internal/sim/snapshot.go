@@ -6,19 +6,25 @@ import (
 	"reflect"
 	"sync"
 	"unsafe"
+
+	"repro/internal/telemetry"
 )
 
-// This file implements warm-state snapshot reuse: after the warmup
-// phase, the machine's entire simulated state (hierarchy, prefetchers,
-// per-core pipeline state) is deep-copied into a process-wide cache
-// keyed by the caller-supplied warm-prefix identity. A later run whose
-// warm prefix is identical restores the copy instead of re-simulating
-// warmup, then fast-forwards its trace readers by replaying the number
-// of records the warm run consumed. Restoration is provably
-// output-preserving because the key covers everything that shapes warm
-// state (machine config, workloads, prefetcher configuration, warmup
-// window — see Options.WarmKey) and the restore is a deep copy: the
-// cached snapshot is never aliased by a running machine.
+// This file implements warm-state snapshot reuse. Where the first run
+// under a warm key stops, at the end of its measurement window, the
+// machine's entire simulated state (hierarchy, prefetchers, per-core
+// pipeline state, the sampler's bookkeeping and series) is deep-copied
+// into a process-wide cache under that key, with the window's target.
+// A later run with the same key that can continue it (canContinue)
+// restores the copy, fast-forwards its trace readers by replaying the
+// number of records the first run consumed, and steps only the
+// instructions its longer window adds. The result is exact: the
+// measurement window always sustains contention (Machine.phase), so
+// the global instruction order and every shared-state access up to the
+// first run's stopping point are the same for any target. The key
+// covers everything else that shapes the state (see Options.WarmKey),
+// and the restore is a deep copy: the cached snapshot is never aliased
+// by a running machine.
 //
 // The deep copier is reflection-based and deliberately conservative:
 // it refuses any state it does not know how to duplicate (non-nil
@@ -30,15 +36,27 @@ import (
 // trace reader (readers hold rng state that must not be shared; they
 // are fast-forwarded by replay instead).
 
-// warmSnapshot is one cached post-warmup machine state. hier and cores
-// are pristine deep copies owned by the cache; restores copy them
-// again, so a snapshot can seed any number of runs.
+// warmState is what a snapshot deep-copies: the machine's simulated
+// state, and its sampler's bookkeeping and the samples the run recorded
+// (zero and nil when it sampled nothing).
+type warmState struct {
+	hier   *hierarchy
+	cores  []*coreState // reader fields nil; consumed counts preserved
+	samp   sampleState
+	series []telemetry.Sample
+}
+
+// warmSnapshot is one cached machine state, taken where its run's
+// measurement window ended. state is a pristine deep copy owned by the
+// cache; restores copy it again, so a snapshot can seed any number of
+// runs.
 type warmSnapshot struct {
-	hier  *hierarchy
-	cores []*coreState // reader fields nil; consumed counts preserved
-	steps uint64
-	sig   string // structural signature double-checking the caller's key
-	bytes int64  // approximate heap bytes, for cache accounting
+	state  *warmState
+	steps  uint64 // instructions stepped to reach this state
+	target uint64 // the measurement window the run stopped at
+	every  uint64 // the run's sampling interval, 0 if it sampled nothing
+	sig    string // structural signature double-checking the caller's key
+	bytes  int64  // approximate heap bytes, for cache accounting
 }
 
 // WarmCache is the process-wide snapshot store. It is size-bounded
@@ -53,15 +71,20 @@ type WarmCache struct {
 	hits   uint64
 	misses uint64
 	stores uint64
+	// restored sums the steps of the snapshots restores copied: the
+	// instructions those runs did not simulate.
+	restored uint64
 }
 
 // DefaultWarmCacheBytes bounds the default process-wide cache. It is
 // sized from measured reuse, not from what fits: replaying the service
 // benchmark's job sequence at seeds 1, 2, 7 and 501, no restore needed
-// an LRU stack distance above 50.6 MiB, so this is the smallest power
-// of two above that. A larger budget keeps only snapshots that nothing
-// restores, and their bytes set the service's peak RSS (see
-// EXPERIMENTS.md, "Warm-state snapshot reuse").
+// an LRU stack distance above 59.6 MiB with snapshots taken where each
+// prefix's first run stopped (50.6 MiB when they were taken after
+// warmup), so this is still the smallest power of two above it. A
+// larger budget keeps only snapshots that nothing restores, and their
+// bytes set the service's peak RSS (see EXPERIMENTS.md, "Warm-state
+// snapshot reuse").
 const DefaultWarmCacheBytes = 64 << 20
 
 var processWarmCache = NewWarmCache(DefaultWarmCacheBytes)
@@ -76,12 +99,21 @@ func NewWarmCache(budget int64) *WarmCache {
 }
 
 // Stats reports cache activity: runs that restored a snapshot, lookups
-// that did not (no snapshot held, or one that could not be used), and
-// snapshots stored.
+// that did not (no snapshot held, or one the run could not continue),
+// and snapshots stored.
 func (wc *WarmCache) Stats() (hits, misses, stores uint64) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	return wc.hits, wc.misses, wc.stores
+}
+
+// RestoredInstructions reports the instructions restores skipped: the
+// sum, over every restore, of the instructions its snapshot's run had
+// stepped.
+func (wc *WarmCache) RestoredInstructions() uint64 {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	return wc.restored
 }
 
 // HeldBytes reports the approximate heap bytes of the snapshots the
@@ -100,7 +132,7 @@ func (wc *WarmCache) Reset() {
 	wc.snaps = make(map[string]*warmSnapshot)
 	wc.order = nil
 	wc.used = 0
-	wc.hits, wc.misses, wc.stores = 0, 0, 0
+	wc.hits, wc.misses, wc.stores, wc.restored = 0, 0, 0, 0
 }
 
 // get looks up key and refreshes its recency. It counts nothing: the
@@ -116,14 +148,23 @@ func (wc *WarmCache) get(key string) *warmSnapshot {
 	return s
 }
 
-// countLookup counts one lookup's outcome: a hit only when a run
-// actually restored the snapshot, a miss for everything else (no
-// snapshot, a signature mismatch, a failed copy).
-func (wc *WarmCache) countLookup(restored bool) {
+// holds reports whether key has a snapshot, leaving its recency as is.
+func (wc *WarmCache) holds(key string) bool {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
-	if restored {
+	return wc.snaps[key] != nil
+}
+
+// countLookup counts one lookup's outcome: a hit only when a run
+// actually restored snap, whose steps it then skipped, and a miss, with
+// snap nil, for everything else (no snapshot, a signature mismatch, a
+// run that cannot continue the snapshot, a failed copy).
+func (wc *WarmCache) countLookup(snap *warmSnapshot) {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if snap != nil {
 		wc.hits++
+		wc.restored += snap.steps
 	} else {
 		wc.misses++
 	}
@@ -133,8 +174,9 @@ func (wc *WarmCache) put(key string, s *warmSnapshot) {
 	wc.mu.Lock()
 	defer wc.mu.Unlock()
 	if old := wc.snaps[key]; old != nil {
-		// Concurrent warm runs of the same key race to store identical
-		// state; first write wins and stays LRU-fresh.
+		// Concurrent runs of the same prefix race to store, each where
+		// its own window ended; first write wins and stays LRU-fresh,
+		// so a prefix keeps one snapshot.
 		wc.touch(key)
 		return
 	}
@@ -168,9 +210,10 @@ func (wc *WarmCache) touch(key string) {
 // warmEligible reports whether this run may participate in snapshot
 // reuse. An attached event trace binds prefetchers to an external sink
 // a deep copy cannot re-bind, and the invariant checker's polling
-// points would be skipped by a restored warmup, so both disable reuse;
-// samplers and progress sinks only observe the measurement phase and
-// stay compatible.
+// points would be skipped by a restore, so both disable reuse. A
+// snapshot carries its run's sampler state and series (a sampled run
+// restores only a snapshot sampled at its interval), and progress sinks
+// count only what a run steps, so both stay compatible.
 func (m *Machine) warmEligible() bool {
 	if m.opts.WarmKey == "" || m.opts.WarmupInstructions == 0 {
 		return false
@@ -196,10 +239,15 @@ func (m *Machine) warmSignature() string {
 		m.opts.Machine.Cores > 1, m.opts.NoCapacityLoss, len(m.cores))
 }
 
-// saveWarm deep-copies the machine's post-warmup state into the
-// process cache. Failures (a prefetcher grew state the copier refuses)
-// are silent: the run proceeds normally and later runs warm up cold.
+// saveWarm deep-copies the machine's state where its run stopped into
+// the process cache, unless the key already has a snapshot (first write
+// wins, so the copy would be dropped). Failures (a prefetcher grew
+// state the copier refuses) are silent: the run's result stands and
+// later runs simulate cold.
 func (m *Machine) saveWarm() {
+	if processWarmCache.holds(m.opts.WarmKey) {
+		return
+	}
 	snap, err := m.snapshot()
 	if err != nil {
 		return
@@ -207,37 +255,70 @@ func (m *Machine) saveWarm() {
 	processWarmCache.put(m.opts.WarmKey, snap)
 }
 
-// tryRestoreWarm restores a cached warm state for this machine's key.
-// It returns false (leaving the machine untouched) when no snapshot
-// exists, the signature disagrees, or the copy fails. Either way it
-// counts the outcome in the process cache's stats.
-func (m *Machine) tryRestoreWarm() (ok bool) {
-	defer func() { processWarmCache.countLookup(ok) }()
-	snap := processWarmCache.get(m.opts.WarmKey)
-	if snap == nil || snap.sig != m.warmSignature() || len(snap.cores) != len(m.cores) {
+// canContinue reports whether this run may resume snap: the same
+// machine shape, a target at least the snapshot's, no core that already
+// reached this run's target in the snapshot run's sustain tail (nothing
+// froze its counters there), and, if this run samples, the snapshot's
+// sampling interval. Any other run simulates cold and counts a miss.
+func (m *Machine) canContinue(snap *warmSnapshot) bool {
+	target := m.opts.MeasureInstructions
+	if snap == nil || snap.sig != m.warmSignature() || len(snap.state.cores) != len(m.cores) || snap.target > target {
 		return false
 	}
-	c := newCopier()
-	hv, err := c.copyValue(reflect.ValueOf(snap.hier))
+	if every := m.sampleEvery(); every != 0 && every != snap.every {
+		return false
+	}
+	if target > snap.target {
+		for _, cs := range snap.state.cores {
+			if cs.instructions >= target {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// tryRestoreWarm restores the cached snapshot for this machine's key
+// when the run can continue it (canContinue). It returns false (leaving
+// the machine untouched) otherwise or when the copy fails. Either way
+// it counts the outcome in the process cache's stats.
+func (m *Machine) tryRestoreWarm() (ok bool) {
+	snap := processWarmCache.get(m.opts.WarmKey)
+	defer func() {
+		if !ok {
+			snap = nil
+		}
+		processWarmCache.countLookup(snap)
+	}()
+	if !m.canContinue(snap) {
+		return false
+	}
+	sv, err := newCopier().copyValue(reflect.ValueOf(snap.state))
 	if err != nil {
 		return false
 	}
-	cores := make([]*coreState, len(snap.cores))
-	for i, cs := range snap.cores {
-		cv, err := c.copyValue(reflect.ValueOf(cs))
-		if err != nil {
-			return false
-		}
-		cores[i] = cv.Interface().(*coreState)
-	}
+	st := sv.Interface().(*warmState)
 	// Point of no return: mutate the machine.
-	m.hier = hv.Interface().(*hierarchy)
-	m.cores = cores
+	m.hier = st.hier
+	m.cores = st.cores
 	m.steps = snap.steps
+	longer := m.opts.MeasureInstructions > snap.target
 	for i, cs := range m.cores {
 		cs.reader = m.opts.Workloads[i]
 		for n := uint64(0); n < cs.consumed; n++ {
 			cs.reader.Next()
+		}
+		// Every core is short of the longer target (canContinue), so
+		// each runs on and freezes there; an equal target keeps the
+		// counters frozen at the snapshot run's finish line.
+		if longer {
+			cs.finished = false
+		}
+	}
+	if m.sampleEvery() != 0 {
+		m.samp = st.samp
+		for _, smp := range st.series {
+			m.sampler.Add(smp)
 		}
 	}
 	// The machine's probes are interface views of the old prefetchers.
@@ -245,28 +326,30 @@ func (m *Machine) tryRestoreWarm() (ok bool) {
 	return true
 }
 
-// snapshot deep-copies the machine's current simulated state.
+// snapshot deep-copies the machine's current simulated state, with the
+// sampler's bookkeeping and the samples this run recorded.
 func (m *Machine) snapshot() (*warmSnapshot, error) {
+	every := m.sampleEvery()
+	var series []telemetry.Sample
+	if every != 0 {
+		// This run recorded the sampler's last samp.idx samples.
+		all := m.sampler.Samples()
+		series = all[len(all)-m.samp.idx:]
+	}
 	c := newCopier()
 	c.max = maxSnapshotBytes
-	hv, err := c.copyValue(reflect.ValueOf(m.hier))
+	sv, err := c.copyValue(reflect.ValueOf(&warmState{m.hier, m.cores, m.samp, series}))
 	if err != nil {
 		return nil, err
 	}
-	snap := &warmSnapshot{
-		hier:  hv.Interface().(*hierarchy),
-		steps: m.steps,
-		sig:   m.warmSignature(),
-	}
-	for _, cs := range m.cores {
-		cv, err := c.copyValue(reflect.ValueOf(cs))
-		if err != nil {
-			return nil, err
-		}
-		snap.cores = append(snap.cores, cv.Interface().(*coreState))
-	}
-	snap.bytes = c.bytes
-	return snap, nil
+	return &warmSnapshot{
+		state:  sv.Interface().(*warmState),
+		steps:  m.steps,
+		target: m.opts.MeasureInstructions,
+		every:  every,
+		sig:    m.warmSignature(),
+		bytes:  c.bytes,
+	}, nil
 }
 
 // --- reflection deep copier ---
@@ -304,11 +387,11 @@ var errSnapshotTooLarge = errors.New("sim: warm snapshot exceeds size cap")
 
 // maxSnapshotBytes caps one saved snapshot at the default budget, so
 // a copy the cache would refuse stops early. It admits every snapshot
-// class measured: at the service's 150K single-core and 50K multi-core
-// warmups a single-core machine takes 1.3-4.2 MiB, a 4-core one
-// 5.3-7.3 MiB and a 16-core one 24.3 (Triage-Dynamic) or 29.2 MiB
-// (MISB). MISB's tables grow with the warmup: 9.3 MiB single-core
-// after 1M instructions.
+// class measured. Where the service's runs stop (150K+250K single-core,
+// 50K+100K 4-core), a single-core machine takes 1.3-5.3 MiB (MISB the
+// most) and a 4-core one 5.2-5.3 MiB; after a 50K warmup a 16-core one
+// takes 24.3 (Triage-Dynamic) or 29.2 MiB (MISB). MISB's tables grow
+// with the run: 9.3 MiB single-core after 1M instructions.
 const maxSnapshotBytes = DefaultWarmCacheBytes
 
 // plainKind caches whether a type contains no Go pointers at any depth

@@ -12,6 +12,7 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/prefetch/hybrid"
 	"repro/internal/prefetch/stride"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -222,5 +223,67 @@ func TestRestoreRebindsHookViews(t *testing.T) {
 	tri := hyb.Parts()[1]
 	if got := warm.hier.partitioners[0]; len(got) != 1 || got[0] != tri.(metadataPartitioner) {
 		t.Errorf("partitioners %v are not the restored Triage %p", got, tri)
+	}
+}
+
+// stepCounter is a ProgressSink that counts the instructions a run
+// steps.
+type stepCounter uint64
+
+func (c *stepCounter) Add(n uint64) { *c += stepCounter(n) }
+
+// TestWarmContinuationStepsOnlyTheAddedWindow pins the work a warm
+// snapshot saves: a run sharing a keyed prefix steps only the
+// instructions its longer window adds to the snapshot's, an equal
+// window steps nothing, and a shorter one runs cold. A change that
+// silently falls back to cold runs steps the whole run and fails here.
+func TestWarmContinuationStepsOnlyTheAddedWindow(t *testing.T) {
+	wc := GlobalWarmCache()
+	wc.Reset()
+	t.Cleanup(wc.Reset)
+	const warm, measure = 60_000, 40_000
+	mcf, _ := workload.ByName("mcf")
+	run := func(window uint64, key string) (Result, uint64) {
+		t.Helper()
+		var steps stepCounter
+		m, err := New(Options{
+			Machine:             config.Default(1),
+			Workloads:           []trace.Reader{mcf.New(1, 1<<40)},
+			Prefetchers:         []prefetch.Prefetcher{stride.New()},
+			WarmupInstructions:  warm,
+			MeasureInstructions: window,
+			Telemetry:           &telemetry.Hooks{Progress: &steps},
+			WarmKey:             key,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.Run(), uint64(steps)
+	}
+	check := func(name string, window, wantSteps, wantHits, wantMisses uint64) {
+		t.Helper()
+		hits0, misses0, _ := wc.Stats()
+		res, steps := run(window, "continue")
+		hits, misses, _ := wc.Stats()
+		if steps != wantSteps || hits-hits0 != wantHits || misses-misses0 != wantMisses {
+			t.Errorf("%s: stepped %d with %d restores and %d misses, want %d, %d and %d",
+				name, steps, hits-hits0, misses-misses0, wantSteps, wantHits, wantMisses)
+		}
+		if cold, _ := run(window, ""); !reflect.DeepEqual(res, cold) {
+			t.Errorf("%s: result differs from a keyless cold run:\ncold: %+v\nkeyed: %+v", name, cold, res)
+		}
+	}
+	check("first run", measure, warm+measure, 0, 1)
+	if _, _, stores := wc.Stats(); stores != 1 {
+		t.Fatalf("first run stored %d snapshots, want 1", stores)
+	}
+	check("longer window", measure+30_000, 30_000, 1, 0)
+	if got := wc.RestoredInstructions(); got != warm+measure {
+		t.Errorf("the restore skipped %d instructions, want the snapshot's %d", got, warm+measure)
+	}
+	check("equal window", measure, 0, 1, 0)
+	check("shorter window", measure-10_000, warm+measure-10_000, 0, 1)
+	if _, _, stores := wc.Stats(); stores != 1 {
+		t.Errorf("%d snapshots stored, want the first run's only", stores)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/cache"
+	"repro/internal/dram"
 	"repro/internal/prefetch"
 	"repro/internal/telemetry"
 )
@@ -20,6 +21,29 @@ type corePrev struct {
 	l2      cache.Stats
 	lookups uint64
 	hits    uint64
+}
+
+// sampleState is the sampler's bookkeeping: the countdown to the next
+// sample, the next sample's interval index, and the counters at the
+// previous sample point. A warm snapshot carries it, so a run that
+// resumes another run's measurement window samples as a cold run would.
+type sampleState struct {
+	// countdown is 0 while sampling is off, so the disabled hot-loop
+	// cost is one compare.
+	countdown uint64
+	idx       int
+	prevCores []corePrev
+	prevLLC   cache.Stats
+	prevDRAM  dram.Stats
+	prevTick  uint64
+}
+
+// sampleEvery is the run's sampling interval, 0 when it samples nothing.
+func (m *Machine) sampleEvery() uint64 {
+	if m.sampler == nil {
+		return 0
+	}
+	return m.sampler.Every()
 }
 
 // traceBinder is implemented by prefetchers that can emit structured
@@ -70,15 +94,17 @@ func (m *Machine) now() uint64 {
 // window (stats have just been reset) and records the baseline
 // snapshot the first interval's deltas are taken against.
 func (m *Machine) startSampling() {
-	if m.sampler == nil || m.sampler.Every() == 0 {
+	every := m.sampleEvery()
+	if every == 0 {
 		return
 	}
-	m.sampleCountdown = m.sampler.Every()
-	m.sampleIdx = 0
-	m.prevCores = make([]corePrev, len(m.cores))
+	st := &m.samp
+	st.countdown = every
+	st.idx = 0
+	st.prevCores = make([]corePrev, len(m.cores))
 	for c, cs := range m.cores {
 		lk, ht := m.lookupCountsFor(c)
-		m.prevCores[c] = corePrev{
+		st.prevCores[c] = corePrev{
 			instr:   cs.instructions,
 			tick:    cs.lastRetire,
 			l2:      m.hier.l2[c].Stats(),
@@ -86,21 +112,22 @@ func (m *Machine) startSampling() {
 			hits:    ht,
 		}
 	}
-	m.prevLLC = m.hier.llc.Stats()
-	m.prevDRAM = m.hier.ram.Stats()
-	m.prevTick = m.now()
+	st.prevLLC = m.hier.llc.Stats()
+	st.prevDRAM = m.hier.ram.Stats()
+	st.prevTick = m.now()
 }
 
 // takeSample appends one interval snapshot to the sampler.
 func (m *Machine) takeSample() {
+	st := &m.samp
 	smp := telemetry.Sample{
-		Interval: m.sampleIdx,
+		Interval: st.idx,
 		Tick:     m.now(),
 		Cores:    make([]telemetry.CoreSample, len(m.cores)),
 	}
 	var dInstrTotal uint64
 	for c, cs := range m.cores {
-		prev := &m.prevCores[c]
+		prev := &st.prevCores[c]
 		l2 := m.hier.l2[c].Stats()
 		lk, ht := m.lookupCountsFor(c)
 
@@ -141,9 +168,9 @@ func (m *Machine) takeSample() {
 	}
 	llc := m.hier.llc.Stats()
 	ram := m.hier.ram.Stats()
-	dLLCMisses := llc.Misses - m.prevLLC.Misses
-	dLines := ram.Total() - m.prevDRAM.Total()
-	dTicks := smp.Tick - m.prevTick
+	dLLCMisses := llc.Misses - st.prevLLC.Misses
+	dLines := ram.Total() - st.prevDRAM.Total()
+	dTicks := smp.Tick - st.prevTick
 
 	for _, cs := range m.cores {
 		smp.Instructions += cs.instructions
@@ -161,10 +188,10 @@ func (m *Machine) takeSample() {
 		smp.DRAMBusy = round6(busy)
 	}
 
-	m.prevLLC = llc
-	m.prevDRAM = ram
-	m.prevTick = smp.Tick
-	m.sampleIdx++
+	st.prevLLC = llc
+	st.prevDRAM = ram
+	st.prevTick = smp.Tick
+	st.idx++
 	m.sampler.Add(smp)
 }
 

@@ -168,9 +168,11 @@ jobid=$("$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
 grep -q 'admit' "$smokedir/trace.txt"
 grep -q 'result-served' "$smokedir/trace.txt"
 # Warm-restore smoke: a longer measurement window with the same warmup
-# and seed restores the first job's post-warmup snapshot in the live
-# process; its result must match a direct cold run byte for byte, and
-# the cache must hold no more than its 64 MiB budget.
+# and seed restores the snapshot taken where the first job's run
+# stopped, so it skips that job's whole 100K+200K run and steps only
+# the 100K instructions its window adds; its result must match a direct
+# cold run byte for byte, and the cache must hold no more than its
+# 64 MiB budget.
 "$smokedir/triagesim" -bench mcf -pf triage-1m -warmup 100000 -measure 300000 \
     -json "$smokedir/direct-restore.json" >/dev/null
 "$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
@@ -178,8 +180,21 @@ grep -q 'result-served' "$smokedir/trace.txt"
 cmp "$smokedir/direct-restore.json" "$smokedir/api-restore.json"
 "$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/metrics-restore.prom"
 grep -q '^triaged_warm_restores_total 1$' "$smokedir/metrics-restore.prom"
+grep -q '^triaged_warm_restored_instructions_total 300000$' "$smokedir/metrics-restore.prom"
 awk '$1 == "triaged_warm_held_bytes" { held = $2 + 0; found = 1 }
     END { exit !(found && held > 0 && held <= 67108864) }' "$smokedir/metrics-restore.prom"
+# A shorter window cannot resume that snapshot: it runs cold, counts one
+# more miss and no restore, and still matches a direct run.
+misses=$(awk '$1 == "triaged_warm_misses_total" { print $2 }' "$smokedir/metrics-restore.prom")
+"$smokedir/triagesim" -bench mcf -pf triage-1m -warmup 100000 -measure 150000 \
+    -json "$smokedir/direct-short.json" >/dev/null
+"$smokedir/triagectl" -addr "$addr" submit -bench mcf -pf triage-1m \
+    -warmup 100000 -measure 150000 -wait -o "$smokedir/api-short.json"
+cmp "$smokedir/direct-short.json" "$smokedir/api-short.json"
+"$smokedir/triagectl" -addr "$addr" metrics -prom >"$smokedir/metrics-short.prom"
+grep -q '^triaged_warm_restores_total 1$' "$smokedir/metrics-short.prom"
+awk -v before="$misses" '$1 == "triaged_warm_misses_total" { found = ($2 == before + 1) }
+    END { exit !found }' "$smokedir/metrics-short.prom"
 kill -TERM "$triaged_pid"
 wait "$triaged_pid" # graceful drain must exit 0
 # Restart on the same store: the resubmission must be served from the
