@@ -11,8 +11,9 @@
 // config fingerprint is ever simulated twice cluster-wide; a worker
 // that dies mid-job loses its lease and the job requeues; a
 // coordinator that dies re-admits queued and leased jobs from the
-// admission log (queue.jsonl) — job ids are derived from content
-// keys, so a surviving worker's upload still lands.
+// server's admission log (queue.jsonl, a CRC-framed log written by the
+// result store's code) — job ids are derived from content keys, so a
+// surviving worker's upload still lands.
 //
 // The protocol assumes a hostile network and imperfect workers (see
 // internal/netfault for the fault model): uploads are verified against
@@ -43,10 +44,11 @@ import (
 )
 
 // assignFile is the coordinator's assignment audit log, next to the
-// store's queue.jsonl. One JSON line per assign/complete/fail/
-// expire/requeue/reject event, written through the server's vfs
-// (so chaos tests exercise it under injected faults). Durability of
-// jobs does not depend on it — that is queue.jsonl's contract — but it
+// server's admission log (queue.jsonl). One plain JSON line per
+// assign/complete/fail/expire/requeue/reject event, written through
+// the server's vfs (so chaos tests exercise it under injected faults).
+// Durability of jobs does not depend on it — that is the admission
+// log's contract — so it has no CRC frames or torn-write repair; it
 // records which worker ran what, survives restarts, and is cheap to
 // grep.
 const assignFile = "assign.jsonl"
@@ -229,8 +231,8 @@ func (c *Coordinator) dispatchLoop() {
 		select {
 		case c.dispatch <- j:
 		case <-c.stopc:
-			// Shutting down with a job in hand: it stays admitted in
-			// queue.jsonl and re-admits on the next start.
+			// Shutting down with a job in hand: it stays in the
+			// admission log and re-admits on the next start.
 			return
 		}
 	}
@@ -305,7 +307,7 @@ func (c *Coordinator) sweep(now time.Time) {
 
 // logEvent appends one assignment-log line (best effort: the audit
 // trail must not take the cluster down when the disk is faulting —
-// job durability is queue.jsonl's contract, not this file's).
+// job durability is the admission log's contract, not this file's).
 func (c *Coordinator) logEvent(event string, j *service.Job, worker string) {
 	line := fmt.Sprintf("{\"ts_ms\":%d,\"event\":%q,\"job\":%q,\"key\":%q,\"worker\":%q}\n",
 		time.Now().UnixMilli(), event, j.ID(), j.Key(), worker)

@@ -27,9 +27,10 @@ import (
 // would be served.
 const checkpointVersion = 3
 
-// checkpointFile is the store's single append-only log;
+// checkpointFile is the result store's append-only log;
 // quarantineFile collects the raw bytes of any record that failed its
-// integrity check, for forensics.
+// integrity check, in this or another log of the same directory
+// (OpenLogFS), for forensics.
 const (
 	checkpointFile = "runs.jsonl"
 	quarantineFile = "quarantine.jsonl"
@@ -138,14 +139,14 @@ func parseStore(data []byte, fingerprint string) (parsedStore, error) {
 					p.rewrite = true
 					return p, nil
 				}
-				return p, fmt.Errorf("checkpoint header is corrupt but records follow; refusing to guess (quarantine or delete the store)")
+				return p, fmt.Errorf("header is corrupt but records follow; refusing to guess (move the file aside to start over)")
 			}
 			if hdr.V != checkpointVersion {
-				return p, fmt.Errorf("checkpoint format version %d, this build writes %d (delete the directory to start over)",
+				return p, fmt.Errorf("format version %d, this build writes %d (written by another build: move the file aside to start over)",
 					hdr.V, checkpointVersion)
 			}
 			if hdr.FP != fingerprint {
-				return p, fmt.Errorf("checkpoint holds results for a different configuration (fingerprint %.12s..., want %.12s...): it was written under different machine parameters, workloads, or instruction windows — delete the directory or rerun with the original parameters",
+				return p, fmt.Errorf("holds records for a different configuration (fingerprint %.12s..., want %.12s...): it was written under different machine parameters, workloads, or instruction windows — move the file aside or rerun with the original parameters",
 					hdr.FP, fingerprint)
 			}
 			first = false
@@ -168,18 +169,17 @@ func parseStore(data []byte, fingerprint string) (parsedStore, error) {
 
 // Checkpoint is a versioned, fingerprinted, checksummed on-disk store
 // of completed runs, keyed like the pool memo's single-core cells
-// ("bench/config"). Records are appended as CRC32-framed JSONL lines
-// after a header naming the configuration fingerprint, and every
-// append is fsynced before it is acknowledged. On open, a torn tail
-// (from a kill mid-write) is truncated away, a mid-file record that
-// fails its checksum is quarantined to quarantine.jsonl (and the
-// store compacted) rather than served, and a store whose fingerprint
-// does not match the caller's is refused with an error instead of
-// silently restoring stale results.
+// ("bench/config"); opened with OpenLogFS under another file name, the
+// same code keeps the service's admission log. Records are appended as
+// CRC32-framed JSONL lines after a header naming the configuration
+// fingerprint, and every append is fsynced before it is acknowledged.
+// On open, a torn tail (from a kill mid-write) is truncated away, a
+// mid-file record that fails its checksum is quarantined to
+// quarantine.jsonl (and the store compacted) rather than served, and a
+// store whose fingerprint does not match the caller's is refused with
+// an error instead of silently restoring stale results.
 type Checkpoint struct {
 	mu          sync.Mutex
-	fsys        vfs.FS
-	dir         string
 	f           vfs.File
 	fp          string
 	seen        map[string]checkpointRecord
@@ -206,97 +206,117 @@ func OpenCheckpoint(dir, fingerprint string) (*Checkpoint, error) {
 // the output of Params.Fingerprint (or ConfigFingerprint) for the
 // configuration whose results the store holds. A mismatch — the store
 // was written under different machine parameters, workloads, or
-// instruction windows — is an error; delete the directory (or rerun
+// instruction windows — is an error; move runs.jsonl aside (or rerun
 // with the original parameters) to proceed.
 func OpenCheckpointFS(fsys vfs.FS, dir, fingerprint string) (*Checkpoint, error) {
+	c, _, err := OpenLogFS(fsys, dir, checkpointFile, fingerprint, nil)
+	return c, err
+}
+
+// OpenLogFS opens (or creates) the log file name in dir on fsys, in
+// the store's format and with its guarantees: header, CRC frames,
+// torn-tail repair, quarantine to dir's quarantine.jsonl. The service
+// keeps its admission log this way, beside the result store. drop,
+// when non-nil, names records to leave out: they are compacted away
+// by the same crash-atomic rewrite that removes quarantined records.
+// keys lists the surviving records' keys in file order.
+func OpenLogFS(fsys vfs.FS, dir, name, fingerprint string, drop func(key string) bool) (c *Checkpoint, keys []string, err error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	path := filepath.Join(dir, checkpointFile)
+	path := filepath.Join(dir, name)
 	data, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := parseStore(data, fingerprint)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
+		return nil, nil, fmt.Errorf("checkpoint %s: %w", path, err)
 	}
-	c := &Checkpoint{fsys: fsys, dir: dir, fp: fingerprint, seen: make(map[string]checkpointRecord, len(p.recs))}
+	c = &Checkpoint{fp: fingerprint, seen: make(map[string]checkpointRecord, len(p.recs))}
+	kept := p.recs[:0]
 	for _, rec := range p.recs {
+		if drop != nil && drop(rec.Key) {
+			p.rewrite = true
+			continue
+		}
 		c.seen[rec.Key] = rec
+		keys = append(keys, rec.Key)
+		kept = append(kept, rec)
 	}
+	p.recs = kept
 	if len(p.quarantined) > 0 {
 		c.quarantined = len(p.quarantined)
 		quarantine(fsys, dir, p.quarantined)
 	}
 	if p.rewrite {
-		// A quarantined record or a lone corrupt header: rewrite the
-		// store compacted to its surviving records, crash-atomically, so
-		// the next scan is clean.
+		// A quarantined or dropped record, or a lone corrupt header:
+		// rewrite the log compacted to its surviving records,
+		// crash-atomically, so the next scan is clean.
 		var buf bytes.Buffer
 		hdr, err := json.Marshal(checkpointHeader{V: checkpointVersion, FP: fingerprint})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		buf.Write(hdr)
 		buf.WriteByte('\n')
 		for _, rec := range p.recs {
 			b, err := json.Marshal(rec)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			buf.Write(frameRecord(b))
 		}
 		if err := vfs.WriteFileAtomic(fsys, path, buf.Bytes(), 0o644); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		c.f = f
 		c.off = int64(buf.Len())
-		return c, nil
+		return c, keys, nil
 	}
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if int64(p.good) < int64(len(data)) {
 		// Torn tail: cut it off and make the cut durable before the next
 		// append can merge into it.
 		if err := f.Truncate(int64(p.good)); err != nil {
 			f.Close()
-			return nil, err
+			return nil, nil, err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	if _, err := f.Seek(int64(p.good), io.SeekStart); err != nil {
 		f.Close()
-		return nil, err
+		return nil, nil, err
 	}
 	c.off = int64(p.good)
 	if p.good == 0 {
 		hdr, err := json.Marshal(checkpointHeader{V: checkpointVersion, FP: fingerprint})
 		if err != nil {
 			f.Close()
-			return nil, err
+			return nil, nil, err
 		}
 		if _, err := f.Write(append(hdr, '\n')); err != nil {
 			f.Close()
-			return nil, err
+			return nil, nil, err
 		}
 		if err := f.Sync(); err != nil {
 			f.Close()
-			return nil, err
+			return nil, nil, err
 		}
 		c.off = int64(len(hdr) + 1)
 	}
 	c.f = f
-	return c, nil
+	return c, keys, nil
 }
 
 // quarantine appends the raw bytes of rejected records to

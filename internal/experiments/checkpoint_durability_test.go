@@ -12,13 +12,12 @@ import (
 	"repro/internal/vfs"
 )
 
-// TestCheckpointV2Refused: a store in the retired v2 format (no
-// per-record CRC) is refused with the version error rather than
-// served, and the refusal leaves the file byte-for-byte unchanged.
+// TestCheckpointV2Refused: a log in a retired format is refused with
+// the version error naming the file rather than served, and the
+// refusal leaves the file byte-for-byte unchanged. The inputs are a v2
+// result store (no per-record CRC) and an admission log in the service's
+// former unframed format (no header at all).
 func TestCheckpointV2Refused(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, checkpointFile)
-	var v2 bytes.Buffer
 	hdr, err := json.Marshal(checkpointHeader{V: 2, FP: testFP()})
 	if err != nil {
 		t.Fatal(err)
@@ -27,99 +26,157 @@ func TestCheckpointV2Refused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2.Write(hdr)
-	v2.WriteByte('\n')
-	v2.Write(rec)
-	v2.WriteByte('\n')
-	if err := os.WriteFile(path, v2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ck, err := OpenCheckpoint(dir, testFP())
-	if err == nil {
-		ck.Close()
-		t.Fatal("opened a v2 store")
-	}
-	if !strings.Contains(err.Error(), "format version 2, this build writes 3") {
-		t.Errorf("v2 store refused with %q, want the format-version error", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(after, v2.Bytes()) {
-		t.Errorf("refusing the v2 store changed it:\n%q\nwant\n%q", after, v2.Bytes())
+	for _, tc := range []struct {
+		name, data, wantErr string
+	}{
+		{checkpointFile, string(hdr) + "\n" + string(rec) + "\n", "format version 2, this build writes 3"},
+		{"queue.jsonl", `{"key":"single/mcf/none/x1/w0/m30000/s1/d1","spec":{"kind":"single"}}` + "\n", "format version 0, this build writes 3"},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, _, err := OpenLogFS(vfs.OS{}, dir, tc.name, testFP(), nil)
+		if err == nil {
+			ck.Close()
+			t.Fatalf("%s: opened a log in a retired format", tc.name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.wantErr) || !strings.Contains(msg, path) || strings.Contains(msg, "delete the directory") {
+			t.Errorf("%s refused with %q, want the format-version error naming the file", tc.name, msg)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(after) != tc.data {
+			t.Errorf("refusing %s changed it:\n%q\nwant\n%q", tc.name, after, tc.data)
+		}
 	}
 }
 
 // TestCheckpointMidFileCorruption flips bytes inside an early record
 // and verifies the corruption is detected (CRC), the record is
 // quarantined rather than served, and every healthy record — before
-// and after the corrupt one — survives.
+// and after the corrupt one — survives. It runs on the result store
+// and on a log under its own name whose open also drops a record (as
+// the service's admission log drops finished jobs), through the same
+// compacting rewrite.
 func TestCheckpointMidFileCorruption(t *testing.T) {
-	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir, testFP())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{"a/1", "a/2", "a/3"} {
-		if err := ck.Put(key, sim.Result{PrefetchesIssued: 5}, nil); err != nil {
+	for _, tc := range []struct {
+		name     string
+		drop     func(key string) bool
+		wantKeys []string
+	}{
+		{checkpointFile, nil, []string{"a/1", "a/3", "a/4"}},
+		{"queue.jsonl", func(key string) bool { return key == "a/3" }, []string{"a/1", "a/4"}},
+	} {
+		dir := t.TempDir()
+		ck, _, err := OpenLogFS(vfs.OS{}, dir, tc.name, testFP(), nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(dir, checkpointFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the middle record's payload (line 2 after the header)
-	// without touching its newline.
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	mid := lines[2]
-	copy(mid[20:], []byte("XXXX"))
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ck2, err := OpenCheckpoint(dir, testFP())
-	if err != nil {
-		t.Fatalf("mid-file corruption rejected the whole store: %v", err)
-	}
-	if ck2.Quarantined() != 1 {
-		t.Errorf("quarantined %d records, want 1", ck2.Quarantined())
-	}
-	if ck2.Has("a/2") {
-		t.Error("corrupt record a/2 served anyway")
-	}
-	for _, key := range []string{"a/1", "a/3"} {
-		if !ck2.Has(key) {
-			t.Errorf("healthy record %s lost to a neighbour's corruption", key)
+		for _, key := range []string{"a/1", "a/2", "a/3", "a/4"} {
+			if err := ck.Put(key, sim.Result{PrefetchesIssued: 5}, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if err := ck2.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// The quarantine file holds the corrupt line; the compacted store
-	// reopens clean.
-	q, err := os.ReadFile(filepath.Join(dir, quarantineFile))
-	if err != nil || !bytes.Contains(q, []byte("XXXX")) {
-		t.Errorf("quarantine file missing the corrupt line (err %v)", err)
+		path := filepath.Join(dir, tc.name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Corrupt the second record's payload (line 2 after the header)
+		// without touching its newline.
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		mid := lines[2]
+		copy(mid[20:], []byte("XXXX"))
+		if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		ck2, keys, err := OpenLogFS(vfs.OS{}, dir, tc.name, testFP(), tc.drop)
+		if err != nil {
+			t.Fatalf("%s: mid-file corruption rejected the whole log: %v", tc.name, err)
+		}
+		if ck2.Quarantined() != 1 {
+			t.Errorf("%s: quarantined %d records, want 1", tc.name, ck2.Quarantined())
+		}
+		if ck2.Has("a/2") {
+			t.Errorf("%s: corrupt record a/2 served anyway", tc.name)
+		}
+		if strings.Join(keys, " ") != strings.Join(tc.wantKeys, " ") {
+			t.Errorf("%s: open kept %q, want %q in file order", tc.name, keys, tc.wantKeys)
+		}
+		if err := ck2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// The quarantine file holds the corrupt line; the compacted log
+		// reopens clean, with the same records in the same order.
+		q, err := os.ReadFile(filepath.Join(dir, quarantineFile))
+		if err != nil || !bytes.Contains(q, []byte("XXXX")) {
+			t.Errorf("%s: quarantine file missing the corrupt line (err %v)", tc.name, err)
+		}
+		ck3, keys, err := OpenLogFS(vfs.OS{}, dir, tc.name, testFP(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck3.Quarantined() != 0 {
+			t.Errorf("%s: compacted log still quarantines %d records", tc.name, ck3.Quarantined())
+		}
+		if strings.Join(keys, " ") != strings.Join(tc.wantKeys, " ") {
+			t.Errorf("%s: compacted log holds %q, want %q", tc.name, keys, tc.wantKeys)
+		}
+		ck3.Close()
 	}
-	ck3, err := OpenCheckpoint(dir, testFP())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCheckpointCrashDuringCompaction crashes the disk while an open
+// compacts a log (a record dropped, as the service's admission log
+// drops finished jobs). The rewrite is crash-atomic: whatever the
+// injected fault (failed or torn write, failed fsync or rename), the
+// log after the crash is the old one or the compacted one, never a
+// mix, and it opens cleanly.
+func TestCheckpointCrashDuringCompaction(t *testing.T) {
+	old, compacted := "a/1 a/2 a/3", "a/1 a/3"
+	seen := map[string]bool{}
+	for seed := int64(0); seed < 32; seed++ {
+		mem := vfs.NewMem(seed)
+		ck, _, err := OpenLogFS(mem, "store", "queue.jsonl", testFP(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"a/1", "a/2", "a/3"} {
+			if err := ck.PutBlob(key, []byte(key)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ck.Close()
+
+		faulty := vfs.NewFaulty(mem, vfs.Plan{Seed: seed, PWrite: 0.3, PSync: 0.3, PRename: 0.3, ShortWrites: true})
+		if ck, _, err := OpenLogFS(faulty, "store", "queue.jsonl", testFP(), func(key string) bool { return key == "a/2" }); err == nil {
+			ck.Close()
+		}
+		mem.Crash()
+
+		ck2, keys, err := OpenLogFS(mem, "store", "queue.jsonl", testFP(), nil)
+		if err != nil {
+			t.Fatalf("seed %d: log unopenable after a crash during compaction: %v", seed, err)
+		}
+		got := strings.Join(keys, " ")
+		if (got != old && got != compacted) || ck2.Quarantined() != 0 {
+			t.Fatalf("seed %d: log after the crash holds %q (%d quarantined), want %q or %q", seed, got, ck2.Quarantined(), old, compacted)
+		}
+		seen[got] = true
+		ck2.Close()
 	}
-	defer ck3.Close()
-	if ck3.Quarantined() != 0 {
-		t.Errorf("compacted store still quarantines %d records", ck3.Quarantined())
-	}
-	if ck3.Len() != 2 {
-		t.Errorf("compacted store holds %d records, want 2", ck3.Len())
+	if !seen[old] || !seen[compacted] {
+		t.Errorf("crash outcomes %v, want both the old and the compacted log among the seeds", seen)
 	}
 }
 

@@ -27,6 +27,8 @@ func FuzzCheckpointParse(f *testing.F) {
 	rec2, _ := json.Marshal(checkpointRecord{V: 2, Key: "a/b"})
 	f.Add(append(append(append(append([]byte{}, hdr2...), '\n'), rec2...), '\n'))
 	f.Add(append(append([]byte{}, hdr...), "\ndeadbeef {\"v\":3,\"key\":\"x\"}\n"...))
+	// The service's former admission log: unframed lines, no header.
+	f.Add([]byte(`{"key":"single/mcf/none/x1/w0/m30000/s1/d1","spec":{"kind":"single"}}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := parseStore(data, fp)

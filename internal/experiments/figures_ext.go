@@ -4,11 +4,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/prefetch"
-	"repro/internal/prefetch/ghb"
-	"repro/internal/prefetch/isb"
-	"repro/internal/prefetch/markov"
-	"repro/internal/prefetch/nextline"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -19,10 +14,10 @@ import (
 // (PC-localized address correlation with TLB-synced off-chip metadata).
 func (r *Runner) ExtZoo() *Table {
 	configs := []namedPF{
-		{"NextLine", func(config.Machine) prefetch.Prefetcher { return nextline.New(1) }},
-		{"GHB_G/DC", func(config.Machine) prefetch.Prefetcher { return ghb.New(512) }},
-		{"Markov_1MB", func(config.Machine) prefetch.Prefetcher { return markov.New(1 << 20) }},
-		{"ISB", func(config.Machine) prefetch.Prefetcher { return isb.New() }},
+		{"NextLine", prefetcherTable["nextline"]},
+		{"GHB_G/DC", prefetcherTable["ghb"]},
+		{"Markov_1MB", prefetcherTable["markov"]},
+		{"ISB", prefetcherTable["isb"]},
 		cfgT1M,
 	}
 	t := r.speedupTable("ext-zoo",
@@ -36,7 +31,7 @@ func (r *Runner) ExtZoo() *Table {
 // ExtZooTraffic reports the traffic side of the extended zoo.
 func (r *Runner) ExtZooTraffic() *Table {
 	configs := []namedPF{
-		{"ISB", func(config.Machine) prefetch.Prefetcher { return isb.New() }},
+		{"ISB", prefetcherTable["isb"]},
 		cfgMISB,
 		cfgT1M,
 	}
@@ -127,20 +122,10 @@ func (r *Runner) ExtLLCPolicy() *Table {
 	}
 	suite := workload.IrregularSuite()
 	bases, cells := r.launchGrid(suite, []namedPF{cfgT1M})
-	hawkFs := make([]*Future[sim.Result], len(suite))
 	for si, spec := range suite {
-		hawkFs[si] = r.changedF(spec, cfgT1M, machineChange{LLCPolicy: "hawkeye"})
+		cells[si] = append(cells[si], r.changedF(spec, cfgT1M, machineChange{LLCPolicy: "hawkeye"}))
 	}
-	var lru, hawk []float64
-	for si, spec := range suite {
-		base := bases[si].Wait()
-		l := cells[si][0].Wait().SpeedupOver(base)
-		h := hawkFs[si].Wait().SpeedupOver(base)
-		lru = append(lru, l)
-		hawk = append(hawk, h)
-		t.AddRow(spec.Name, fmtSpeedup(l), fmtSpeedup(h))
-	}
-	t.AddRow("geomean", fmtSpeedup(geomean(lru)), fmtSpeedup(geomean(hawk)))
+	collectSpeedups(t, specNames(suite), bases, cells)
 	t.Note("shape target: second-order effect either way (footprints >> LLC)")
 	return t
 }

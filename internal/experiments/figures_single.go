@@ -292,31 +292,20 @@ func (r *Runner) Fig07() *Table {
 		Header: []string{"benchmark", "2MB LLC + 1MB Triage (free)", "1MB LLC, NoL2PF", "1MB LLC + 1MB Triage"},
 	}
 	suite := workload.IrregularSuite()
-	baseFs := make([]*Future[sim.Result], len(suite))
-	optFs := make([]*Future[sim.Result], len(suite))
-	smallFs := make([]*Future[sim.Result], len(suite))
-	realFs := make([]*Future[sim.Result], len(suite))
+	bases := make([]*Future[sim.Result], len(suite))
+	cells := make([][]*Future[sim.Result], len(suite))
 	for si, spec := range suite {
-		baseFs[si] = r.singleF(spec, cfgNone)
-		// Optimistic: metadata store does not consume LLC capacity.
-		optFs[si] = r.changedF(spec, cfgT1M, machineChange{FreeStore: true})
-		// Capacity loss alone: half-size LLC, no prefetching.
-		smallFs[si] = r.changedF(spec, cfgNone, machineChange{LLCBytes: 1 << 20})
-		// Real Triage on the normal machine.
-		realFs[si] = r.singleF(spec, cfgT1M)
+		bases[si] = r.singleF(spec, cfgNone)
+		cells[si] = []*Future[sim.Result]{
+			// Optimistic: metadata store does not consume LLC capacity.
+			r.changedF(spec, cfgT1M, machineChange{FreeStore: true}),
+			// Capacity loss alone: half-size LLC, no prefetching.
+			r.changedF(spec, cfgNone, machineChange{LLCBytes: 1 << 20}),
+			// Real Triage on the normal machine.
+			r.singleF(spec, cfgT1M),
+		}
 	}
-	var free, shrunk, real []float64
-	for si, spec := range suite {
-		base := baseFs[si].Wait()
-		f := optFs[si].Wait().SpeedupOver(base)
-		s := smallFs[si].Wait().SpeedupOver(base)
-		re := realFs[si].Wait().SpeedupOver(base)
-		free = append(free, f)
-		shrunk = append(shrunk, s)
-		real = append(real, re)
-		t.AddRow(spec.Name, fmtSpeedup(f), fmtSpeedup(s), fmtSpeedup(re))
-	}
-	t.AddRow("geomean", fmtSpeedup(geomean(free)), fmtSpeedup(geomean(shrunk)), fmtSpeedup(geomean(real)))
+	collectSpeedups(t, specNames(suite), bases, cells)
 	t.Note("paper: +31.2%% free-store gain, -7.4%% capacity loss, +23.4%% net")
 	t.Note("shape target: prefetching gain far exceeds the capacity penalty")
 	return t

@@ -274,6 +274,54 @@ func TestSubmitRejectedWhenAdmissionLogFails(t *testing.T) {
 	srv.store.ClearErr()
 }
 
+// TestTornAdmissionRepairedBeforeNextSubmit: a torn admission append
+// is refused, and once the disk heals the next acknowledged admission
+// must not be glued onto the torn bytes. The admission log cuts them
+// off before its next append, so after a clean restart the
+// acknowledged job is queued again, for every seed.
+func TestTornAdmissionRepairedBeforeNextSubmit(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		mem := vfs.NewMem(seed)
+		faulty := vfs.NewFaulty(mem, vfs.Plan{Seed: seed})
+		cfg := Config{StoreDir: "store", QueueCap: 8, FS: faulty, ProbeInterval: 5 * time.Millisecond}
+		srv, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faulty.SetPlan(vfs.Plan{Seed: seed, PWrite: 1, ShortWrites: true})
+		if _, _, err := srv.Submit(tinySpec(1)); err == nil {
+			t.Fatalf("seed %d: torn admission acknowledged", seed)
+		}
+		faulty.Heal()
+		deadline := time.Now().Add(10 * time.Second)
+		for srv.Degraded() && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if srv.Degraded() {
+			t.Fatalf("seed %d: server never left degraded mode", seed)
+		}
+		j, _, err := srv.Submit(tinySpec(2))
+		if err != nil {
+			t.Fatalf("seed %d: submit after recovery: %v", seed, err)
+		}
+		srv.Drain()
+		if err := srv.Close(); err != nil {
+			t.Fatalf("seed %d: close: %v", seed, err)
+		}
+
+		srv2, err := New(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: restart: %v", seed, err)
+		}
+		j2, ok := srv2.Lookup(j.ID())
+		if !ok || srv2.StateOf(j2) != StateQueued || srv2.Restored() != 1 {
+			t.Errorf("seed %d: acknowledged job lost across the restart (found %t, restored %d)", seed, ok, srv2.Restored())
+		}
+		srv2.Drain()
+		srv2.Close()
+	}
+}
+
 // TestSubmitOversizedBody413 pins the request-size cap: a body that
 // exceeds maxSubmitBytes is cut off by MaxBytesReader and rejected
 // with 413 and the body_too_large code, not buffered into the decoder.

@@ -230,6 +230,8 @@ func (s *Server) QueueLen() int { return s.q.len() }
 // stack in tests.
 func (s *Server) VFS() vfs.FS { return s.fsys }
 
-// StoreDirPath returns the store directory (queue.jsonl, runs.jsonl —
-// and, under a coordinator, assign.jsonl).
+// StoreDirPath returns the store directory: the result store
+// (runs.jsonl) and the admission log (queue.jsonl), both
+// experiments.Checkpoint logs, their quarantine.jsonl and, under a
+// coordinator, assign.jsonl.
 func (s *Server) StoreDirPath() string { return s.cfg.StoreDir }

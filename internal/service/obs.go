@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vfs"
@@ -76,20 +75,20 @@ func newServerObs(s *Server) *serverObs {
 			defer s.mu.Unlock()
 			return float64(len(s.pending))
 		})
-	storeCount := func(count func(*experiments.Checkpoint) int) func() float64 {
+	storeCount := func(count func() int) func() float64 {
 		return func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if s.store == nil {
 				return 0
 			}
-			return float64(count(s.store))
+			return float64(count())
 		}
 	}
 	r.GaugeFunc("triaged_store_len", "results in the content-addressed store",
-		storeCount((*experiments.Checkpoint).Len))
-	r.GaugeFunc("triaged_store_quarantined", "corrupt store records quarantined when the store opened",
-		storeCount((*experiments.Checkpoint).Quarantined))
+		storeCount(func() int { return s.store.Len() }))
+	r.GaugeFunc("triaged_store_quarantined", "corrupt records quarantined when the result store and the admission log opened",
+		storeCount(func() int { return s.store.Quarantined() + s.admits.Quarantined() }))
 	r.GaugeFunc("triaged_uptime_seconds", "seconds since the server started",
 		func() float64 { return time.Since(s.started).Seconds() })
 	if f, ok := s.fsys.(*vfs.Faulty); ok {

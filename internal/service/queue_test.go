@@ -1,8 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -173,5 +176,68 @@ func TestDrainPersistsQueuedJobs(t *testing.T) {
 	defer func() { srv3.Drain(); srv3.Close() }()
 	if got := srv3.Restored(); got != 0 {
 		t.Errorf("third start re-admitted %d jobs, want 0 (log compaction)", got)
+	}
+}
+
+// TestCorruptAdmissionQuarantined: a byte flipped inside a mid-file
+// admission record fails that record's checksum. The restart
+// quarantines the raw line (quarantine.jsonl, counted in
+// triaged_store_quarantined) and re-admits the admissions around it in
+// their original order.
+func TestCorruptAdmissionQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{StoreDir: dir, QueueCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for i := uint64(1); i <= 3; i++ {
+		j, _, err := srv.Submit(tinySpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, j.key)
+	}
+	srv.Drain()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, queueFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n")) // ends with an empty tail
+	if len(lines) < 4 {
+		t.Fatalf("admission log holds %d lines, want the 3 admissions:\n%s", len(lines)-1, data)
+	}
+	corrupt := lines[len(lines)-3] // the second admission
+	corrupt[len(corrupt)/2] ^= 0x01
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, err := New(Config{StoreDir: dir, QueueCap: 8})
+	if err != nil {
+		t.Fatalf("a corrupt admission refused the whole log: %v", err)
+	}
+	defer func() { srv2.Drain(); srv2.Close() }()
+	if n := srv2.Registry().Snapshot()["store_quarantined"]; n != 1.0 {
+		t.Errorf("store_quarantined = %v, want 1", n)
+	}
+	q, err := os.ReadFile(filepath.Join(dir, "quarantine.jsonl"))
+	if err != nil || !bytes.Contains(q, bytes.TrimSuffix(corrupt, []byte("\n"))) {
+		t.Errorf("quarantine.jsonl does not hold the corrupt admission (err %v):\n%s", err, q)
+	}
+	var got []string
+	for _, st := range srv2.Jobs() {
+		if st.State != StateQueued {
+			t.Errorf("job %s is %s, want queued", st.Key, st.State)
+		}
+		got = append(got, st.Key)
+	}
+	if want := []string{keys[0], keys[2]}; len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Errorf("re-admitted %q, want %q in that order", got, want)
 	}
 }

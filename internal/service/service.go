@@ -1,16 +1,12 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,8 +20,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// queueFile persists admitted-but-unfinished jobs next to the result
-// store so a restart re-admits them.
+// queueFile is the admission log: one record per admitted job (its
+// spec, as a blob keyed by the job's content key), kept beside the
+// result store and in its format, so a restart re-admits every job
+// whose result the store lacks.
 const queueFile = "queue.jsonl"
 
 // Config sizes a Server.
@@ -123,8 +121,8 @@ type Server struct {
 
 	mu            sync.Mutex
 	store         *experiments.Checkpoint
-	queueLog      vfs.File
-	jobs          map[string]*Job // by id
+	admits        *experiments.Checkpoint // the admission log (queueFile)
+	jobs          map[string]*Job         // by id
 	byKey         map[string]*Job
 	seq           uint64
 	pending       []pendingResult // completed but not yet persisted (degraded mode)
@@ -198,6 +196,13 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Jobs whose result is durable are done: opening the admission log
+	// compacts them away.
+	admits, queued, err := experiments.OpenLogFS(cfg.FS, cfg.StoreDir, queueFile, fp, store.Has)
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
 	s := &Server{
 		cfg:     cfg,
 		fsys:    cfg.FS,
@@ -206,6 +211,7 @@ func New(cfg Config) (*Server, error) {
 		prog:    telemetry.NewPoolProgress(0),
 		q:       newJobQueue(),
 		store:   store,
+		admits:  admits,
 		jobs:    make(map[string]*Job),
 		byKey:   make(map[string]*Job),
 		stopc:   make(chan struct{}),
@@ -213,8 +219,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.pool.SetProgress(s.prog)
 	s.obs = newServerObs(s)
-	if err := s.recoverQueue(); err != nil {
-		store.Close()
+	if err := s.recoverQueue(queued); err != nil {
+		s.Close()
 		return nil, err
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -247,66 +253,29 @@ func (s *Server) admitTrace(j *Job, disposition string, queued bool) {
 	s.obs.rec.Add(tr)
 }
 
-// queueRecord is one admission-log line.
-type queueRecord struct {
-	Key  string  `json:"key"`
-	Spec JobSpec `json:"spec"`
-}
-
-// recoverQueue replays the admission log: every admitted job whose key
-// is not yet in the result store is re-admitted (queued, original
-// priority); finished ones are dropped. The log is then compacted to
-// the survivors, so it cannot grow without bound across restarts.
-func (s *Server) recoverQueue() error {
-	path := filepath.Join(s.cfg.StoreDir, queueFile)
-	data, err := s.fsys.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	var live []queueRecord
-	seen := make(map[string]bool)
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+// recoverQueue re-admits, in admission order, the jobs the admission
+// log still holds (keys, as OpenLogFS returned them): queued, at their
+// original priority. A job this process cannot run under its key (say,
+// a trace job after a restart without its corpus) is an error, not a
+// silently dropped job.
+func (s *Server) recoverQueue(keys []string) error {
+	for _, key := range keys {
+		blob, _ := s.admits.GetBlob(key)
+		var spec JobSpec
+		if err := json.Unmarshal(blob, &spec); err != nil {
+			return fmt.Errorf("admission log: job %s: %w", key, err)
 		}
-		var rec queueRecord
-		if json.Unmarshal(line, &rec) != nil {
-			continue // torn tail from a kill mid-append
+		if err := spec.normalize(); err != nil {
+			return fmt.Errorf("admission log: job %s cannot be re-admitted: %w", key, err)
 		}
-		if seen[rec.Key] || s.store.Has(rec.Key) {
-			continue
+		if k := spec.key(); k != key {
+			return fmt.Errorf("admission log: job %s has key %s under this build", key, k)
 		}
-		if rec.Spec.normalize() != nil || rec.Spec.key() != rec.Key {
-			continue // log written by an incompatible build
-		}
-		seen[rec.Key] = true
-		live = append(live, rec)
-	}
-	// Compact: rewrite the log with only the survivors, crash-
-	// atomically (write-tmp, fsync, rename, fsync-dir).
-	var buf bytes.Buffer
-	for _, rec := range live {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	if err := vfs.WriteFileAtomic(s.fsys, path, buf.Bytes(), 0o644); err != nil {
-		return err
-	}
-	f, err := s.fsys.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	s.queueLog = f
-	for _, rec := range live {
 		s.seq++
 		j := &Job{
-			id:    idOf(rec.Key),
-			key:   rec.Key,
-			spec:  rec.Spec,
+			id:    idOf(key),
+			key:   key,
+			spec:  spec,
 			seq:   s.seq,
 			state: StateQueued,
 			feed:  telemetry.NewJobFeed(),
@@ -358,20 +327,16 @@ func (s *Server) Submit(spec JobSpec) (*Job, Disposition, error) {
 		s.mRejectedFull.Add(1)
 		return nil, DispNew, ErrQueueFull
 	}
-	// Persist the admission — write AND fsync — before acknowledging
+	// Persist the admission — append AND fsync — before acknowledging
 	// it: an accepted job survives any crash from here on (re-admitted
 	// by recoverQueue). A failing append flips the server into
 	// degraded mode instead of acknowledging a job the disk never saw.
-	rec, err := json.Marshal(queueRecord{Key: key, Spec: spec})
+	blob, err := json.Marshal(spec)
 	if err != nil {
 		return nil, DispNew, err
 	}
-	if _, err := s.queueLog.Write(append(rec, '\n')); err != nil {
+	if err := s.admits.PutBlob(key, blob); err != nil {
 		s.enterDegradedLocked(fmt.Errorf("persisting admission: %w", err))
-		return nil, DispNew, fmt.Errorf("%w: %v", ErrDegraded, err)
-	}
-	if err := s.queueLog.Sync(); err != nil {
-		s.enterDegradedLocked(fmt.Errorf("syncing admission: %w", err))
 		return nil, DispNew, fmt.Errorf("%w: %v", ErrDegraded, err)
 	}
 	s.seq++
@@ -615,7 +580,7 @@ func (s *Server) probeLoop() {
 // service; a mid-flush failure leaves it degraded for the next probe.
 func (s *Server) tryRecover() {
 	s.mu.Lock()
-	store, qlog := s.store, s.queueLog
+	store, admits := s.store, s.admits
 	pending := append([]pendingResult(nil), s.pending...)
 	s.mu.Unlock()
 	if store == nil {
@@ -624,10 +589,8 @@ func (s *Server) tryRecover() {
 	if err := store.Sync(); err != nil {
 		return
 	}
-	if qlog != nil {
-		if err := qlog.Sync(); err != nil {
-			return
-		}
+	if err := admits.Sync(); err != nil {
+		return
 	}
 	flushed := 0
 	for _, p := range pending {
@@ -650,6 +613,7 @@ func (s *Server) tryRecover() {
 		return
 	}
 	store.ClearErr()
+	admits.ClearErr()
 	if s.degraded.CompareAndSwap(true, false) {
 		s.mRecovered.Add(1)
 		s.obs.degradeExit()
@@ -714,17 +678,14 @@ func (s *Server) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var first error
-	if s.queueLog != nil {
-		if err := s.queueLog.Close(); err != nil {
+	if s.store != nil {
+		if err := s.admits.Close(); err != nil {
 			first = err
 		}
-		s.queueLog = nil
-	}
-	if s.store != nil {
 		if err := s.store.Close(); err != nil && first == nil {
 			first = err
 		}
-		s.store = nil
+		s.store, s.admits = nil, nil
 	}
 	return first
 }

@@ -118,8 +118,9 @@ type partsProvider interface {
 }
 
 // walkParts visits the leaf prefetchers of p, unwrapping hybrids. It is
-// the one traversal shared by every construction-time interface probe
-// (partitioners, invariant checkers, event-trace binders, estimators).
+// the one traversal shared by every interface probe of the prefetcher
+// graph (partitioners, invariant checkers, event-trace binders, and the
+// metadata and lookup counters read at result collection and sampling).
 func walkParts(p prefetch.Prefetcher, fn func(prefetch.Prefetcher)) {
 	if p == nil {
 		return

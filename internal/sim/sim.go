@@ -154,13 +154,6 @@ type Machine struct {
 	// checkCountdown counts down to the next invariant sweep; 0 while
 	// invariant checking is off (same one-compare idle cost as sampling).
 	checkCountdown uint64
-
-	// Interface views of the prefetcher graph, resolved once in New
-	// (and again after a warm restore) so result collection and the
-	// sampler never repeat per-call type assertions.
-	estimators   []estimator
-	metaCounters []metaCounter
-	lookupFns    [][]lookupCounter // per core
 }
 
 // estimator is implemented by idealized prefetchers that report
@@ -227,32 +220,7 @@ func New(opts Options) (*Machine, error) {
 			retire: make([]uint64, opts.Machine.ROBEntries),
 		})
 	}
-	m.resolveProbes()
 	return m, nil
-}
-
-// resolveProbes walks the prefetcher graph once and caches the
-// interface views collect() and the sampler consult, replacing the
-// recursive per-call probes that previously ran at every sample point
-// and at result collection.
-func (m *Machine) resolveProbes() {
-	m.estimators = m.estimators[:0]
-	m.metaCounters = m.metaCounters[:0]
-	m.lookupFns = make([][]lookupCounter, len(m.hier.l2pf))
-	for c, p := range m.hier.l2pf {
-		c := c
-		walkParts(p, func(leaf prefetch.Prefetcher) {
-			if e, ok := leaf.(estimator); ok {
-				m.estimators = append(m.estimators, e)
-			}
-			if mc, ok := leaf.(metaCounter); ok {
-				m.metaCounters = append(m.metaCounters, mc)
-			}
-			if lc, ok := leaf.(lookupCounter); ok {
-				m.lookupFns[c] = append(m.lookupFns[c], lc)
-			}
-		})
-	}
 }
 
 // Run executes warmup then measurement and returns the results. Each
@@ -531,11 +499,15 @@ func (m *Machine) collect() Result {
 		})
 		res.PrefetchesUseful += l2.PrefetchUsed
 	}
-	for _, mc := range m.metaCounters {
-		res.MISBOffChipMetadataAccesses += mc.OffChipMetadataAccesses()
-	}
-	for _, e := range m.estimators {
-		res.EstimatedMetadataTransfers += e.EstimatedMetadataTransfers()
+	for _, p := range m.hier.l2pf {
+		walkParts(p, func(leaf prefetch.Prefetcher) {
+			if mc, ok := leaf.(metaCounter); ok {
+				res.MISBOffChipMetadataAccesses += mc.OffChipMetadataAccesses()
+			}
+			if e, ok := leaf.(estimator); ok {
+				res.EstimatedMetadataTransfers += e.EstimatedMetadataTransfers()
+			}
+		})
 	}
 	return res
 }

@@ -321,8 +321,6 @@ func (m *Machine) tryRestoreWarm() (ok bool) {
 			m.sampler.Add(smp)
 		}
 	}
-	// The machine's probes are interface views of the old prefetchers.
-	m.resolveProbes()
 	return true
 }
 

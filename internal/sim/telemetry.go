@@ -67,14 +67,16 @@ type lookupCounter interface {
 	LookupCounts() (lookups, hits uint64)
 }
 
-// lookupCountsFor sums core c's cumulative metadata lookups/hits over
-// the counters resolveProbes cached at construction.
+// lookupCountsFor sums the cumulative metadata lookups/hits of core
+// c's prefetchers.
 func (m *Machine) lookupCountsFor(c int) (lookups, hits uint64) {
-	for _, lc := range m.lookupFns[c] {
-		l, h := lc.LookupCounts()
-		lookups += l
-		hits += h
-	}
+	walkParts(m.hier.l2pf[c], func(leaf prefetch.Prefetcher) {
+		if lc, ok := leaf.(lookupCounter); ok {
+			l, h := lc.LookupCounts()
+			lookups += l
+			hits += h
+		}
+	})
 	return lookups, hits
 }
 

@@ -1,7 +1,8 @@
 // Package vfs abstracts the filesystem underneath the durable state
-// the simulation stack depends on — the checkpoint/result store
-// (runs.jsonl), the service admission log (queue.jsonl), and their
-// quarantine side files. Two implementations matter:
+// the simulation stack depends on — the logs experiments.Checkpoint
+// writes (the result store, runs.jsonl, and the service admission
+// log, queue.jsonl), their shared quarantine file, and the cluster's
+// assignment audit log. Two implementations matter:
 //
 //   - OS: the production backend. Plain os calls, plus WriteFileAtomic
 //     implementing the write-tmp / fsync / rename / fsync-dir

@@ -28,6 +28,10 @@ fi
 go build ./...
 go test ./...
 go vet ./...
+# The root benchmarks, one iteration each (about 1 s): none of them
+# rots unrun, and BenchmarkWarmupSnapshot fails if a longer window
+# does not restore the snapshot its first run left.
+go test -run '^$' -bench . -benchtime 1x .
 go test -race ./internal/experiments ./internal/sim ./internal/workload
 go test -race ./internal/cache ./internal/replacement
 go test -race ./internal/service
